@@ -6,18 +6,21 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 """
 
 import argparse
+import itertools
 import json
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .core import LaurentPoly, NonExactDivisionError, Partition, SkewShape
-from .formulas import Method, character, check_preconditions
+from .core import LaurentPoly, NonExactDivisionError, Partition, SkewShape, partitions_upto
+from .formulas import Method, character
 from .paths import (
     Layout,
     MalformedFamilyError,
+    Path,
     PathModel,
+    StepKind,
     enumerate_lgv_families,
     find_trapped_positions,
     involution_step,
@@ -121,24 +124,10 @@ def _emit(text, out_path):
 # verification suites
 
 
-def _partitions_upto(size, max_len=None):
-    out = [Partition()]
-
-    def rec(rest, mx, acc):
-        for p in range(min(rest, mx), 0, -1):
-            if max_len is None or len(acc) < max_len:
-                out.append(Partition(acc + [p]))
-                rec(rest - p, p, acc + [p])
-
-    for s in range(1, size + 1):
-        rec(s, s, [])
-    return out
-
-
 def _four_way_cases(max_cells, n_range, m_range):
     cases = []
-    for lam in _partitions_upto(max_cells):
-        for mu in _partitions_upto(lam.size()):
+    for lam in partitions_upto(max_cells):
+        for mu in partitions_upto(lam.size()):
             if not lam.contains(mu):
                 continue
             if mu.length() > m_range[1]:
@@ -159,7 +148,7 @@ def _four_way_cases(max_cells, n_range, m_range):
                         if lam.length() > n + m:
                             continue
                         cases.append((fam.value, lam.parts, mu.parts, n, m))
-    return sorted(set(cases))
+    return sorted(cases)
 
 
 def _run_four_way(case):
@@ -175,6 +164,12 @@ def _run_four_way(case):
     return (name, True, "")
 
 
+def _lgv_cases(max_cells, n_range, m_range):
+    """The four-way cases with at most 6 cells and n <= 2, where the
+    brute-force signed path sum stays cheap."""
+    return _four_way_cases(min(max_cells, 6), (1, min(n_range[1], 2)), m_range)
+
+
 def _run_lgv(case):
     fam_tag, lam_parts, mu_parts, n, m = case
     fam = FAMILIES[fam_tag]
@@ -187,13 +182,13 @@ def _run_lgv(case):
 
 def _weyl_cases(max_cells, seed):
     cases = []
-    for lam in _partitions_upto(min(max_cells, 6)):
+    for lam in partitions_upto(min(max_cells, 6)):
         for n in (1, 2, 3):
             if lam.length() > n:
                 continue
             for fam in FAMILIES:
                 cases.append((fam, lam.parts, n, seed))
-    return sorted(set(cases))
+    return sorted(cases)
 
 
 def _run_weyl(case):
@@ -257,47 +252,42 @@ def _run_path_lemmas(bound, n_max):
     return results
 
 
-def _run_reflection(limit):
-    import itertools
+def _monotone_paths(frm, to):
+    """Every right/up path from frm to to."""
+    dx, dy = to[0] - frm[0], to[1] - frm[1]
+    if dx < 0 or dy < 0:
+        return
+    for pos in itertools.combinations(range(dx + dy), dx):
+        steps = [StepKind.UP] * (dx + dy)
+        for p in pos:
+            steps[p] = StepKind.RIGHT
+        yield Path(frm, steps)
 
+
+def _run_reflection(limit):
+    """Reflecting the initial segment in y = x - 2 is a weight-preserving
+    involution from the paths (0,2) -> (c,f) that touch the line onto all
+    paths (4,-2) -> (c,f), for c + f <= limit."""
+    nvars = max(1, (limit + 6) // 2 + 1)
     results = []
     for c in range(0, limit + 1):
         for f in range(-3, limit + 1):
             if c + f > limit or f <= c - 2:
                 continue
-            name = "reflection (0,2)->(%d,%d)" % (c, f)
-            dx, dy = c - 0, f - 2
-            if dx < 0:
-                continue
-            touched, images = [], []
-            from .paths import Path, StepKind
-
-            for pos in itertools.combinations(range(dx + dy), dx) if dy >= 0 else ():
-                steps = [StepKind.UP] * (dx + dy)
-                for p in pos:
-                    steps[p] = StepKind.RIGHT
-                path = Path((0, 2), steps)
-                if any(y == x - 2 for x, y in path.points()):
-                    touched.append(path)
-                    images.append(reflect_initial_segment(path, -2))
-            nvars = max(1, (limit + 6) // 2 + 1)
-            ok = True
-            detail = ""
+            touched = [
+                p for p in _monotone_paths((0, 2), (c, f))
+                if any(y == x - 2 for x, y in p.points())
+            ]
+            images = [reflect_initial_segment(p, -2) for p in touched]
+            ok, detail = True, ""
             for p, q in zip(touched, images):
                 if reflection_weight_exps(p, nvars) != reflection_weight_exps(q, nvars):
                     ok, detail = False, "weight changed"
                 if reflect_initial_segment(q, -2) != p:
                     ok, detail = False, "not an involution"
-            target = set()
-            if f - (-2) >= 0 and c - 4 >= 0:
-                for pos in itertools.combinations(range((c - 4) + (f + 2)), c - 4):
-                    steps = [StepKind.UP] * ((c - 4) + (f + 2))
-                    for p in pos:
-                        steps[p] = StepKind.RIGHT
-                    target.add(Path((4, -2), steps))
-            if set(images) != target:
+            if set(images) != set(_monotone_paths((4, -2), (c, f))):
                 ok, detail = False, "image set mismatch"
-            results.append((name, ok, detail))
+            results.append(("reflection (0,2)->(%d,%d)" % (c, f), ok, detail))
     return results
 
 
@@ -341,42 +331,48 @@ def _run_eh():
 
 
 def _run_involution(max_cells, n_max):
+    """Even orthogonal families: the involution pairs the dirty families with
+    negated weights, so they cancel; the clean ones have sign +1 and biject
+    onto the tableaux."""
     results = []
-    for lam in _partitions_upto(max_cells):
+    for lam in partitions_upto(max_cells):
         if not lam:
             continue
-        for mu in _partitions_upto(lam.size()):
-            if not lam.contains(mu) or mu.length() > 2:
+        for mu in partitions_upto(lam.size(), max_len=2):
+            if not lam.contains(mu):
                 continue
             for n in range(1, n_max + 1):
                 for m in range(mu.length(), 3):
                     if lam.length() > n + m:
                         continue
-                    name = "involution %s/%s n=%d m=%d" % (
-                        list(lam.parts),
-                        list(mu.parts),
-                        n,
-                        m,
-                    )
+                    name = "involution %s/%s n=%d m=%d" % (list(lam.parts), list(mu.parts), n, m)
                     sh = SkewShape(lam, mu)
-                    model, starts, ends = model_and_endpoints(
-                        CharacterFamily.O_EVEN, sh, n, m
-                    )
-                    clean = {}
+                    model, starts, ends = model_and_endpoints(CharacterFamily.O_EVEN, sh, n, m)
+                    clean, dirty, clean_count = {}, {}, 0
                     ok, detail = True, ""
                     for fam in enumerate_lgv_families(model, starts, ends):
+                        weight = fam.signed_weight()
                         if fam.is_strongly_nonintersecting() and not find_trapped_positions(fam):
-                            for e, c in fam.signed_weight().terms.items():
-                                clean[e] = clean.get(e, 0) + c
+                            clean_count += 1
+                            acc = clean
+                            if fam.sign() != 1:
+                                ok, detail = False, "clean family with sign -1"
                         else:
+                            acc = dirty
                             img = involution_step(fam)
                             if involution_step(img) != fam:
                                 ok, detail = False, "involution not involutive"
-                            if img.signed_weight() != -fam.signed_weight():
+                            if img.signed_weight() != -weight:
                                 ok, detail = False, "weight not negated"
+                        for e, c in weight.terms.items():
+                            acc[e] = acc.get(e, 0) + c
+                    if any(dirty.values()):
+                        ok, detail = False, "dirty families do not cancel"
                     oracle = character_by_tableaux(CharacterFamily.O_EVEN, sh, n, m)
                     if LaurentPoly(n, {e: c for e, c in clean.items() if c}) != oracle:
                         ok, detail = False, "clean families != oracle"
+                    if clean_count != count_tableaux(CharacterFamily.O_EVEN, sh, n, m):
+                        ok, detail = False, "clean family count != tableau count"
                     results.append((name, ok, detail))
     return results
 
@@ -392,11 +388,7 @@ def run_verify(args):
             cases = _four_way_cases(args.max_cells, args.n, args.m)
             results.extend(_map_cases(_run_four_way, cases, args.jobs))
         elif suite == "lgv":
-            cases = [
-                c
-                for c in _four_way_cases(min(args.max_cells, 6), (1, min(args.n[1], 2)), args.m)
-                if sum(c[1]) <= 6
-            ]
+            cases = _lgv_cases(args.max_cells, args.n, args.m)
             results.extend(_map_cases(_run_lgv, cases, args.jobs))
         elif suite == "weyl":
             results.extend(_map_cases(_run_weyl, _weyl_cases(args.max_cells, args.seed), args.jobs))
@@ -450,7 +442,6 @@ def run_compute(args):
 def run_count(args):
     shape = parse_shape(args.shape)
     family = FAMILIES[args.family]
-    check_preconditions(family, shape.outer, shape.inner, args.n, args.m)
     _emit(str(count_tableaux(family, shape, args.n, args.m)), args.out)
     return 0
 
@@ -459,7 +450,6 @@ def run_paths(args):
     shape = parse_shape(args.shape)
     family = FAMILIES[args.family]
     layout = Layout(args.layout)
-    check_preconditions(family, shape.outer, shape.inner, args.n, args.m)
     written = []
     for idx, t in enumerate(enumerate_tableaux(family, shape, args.n, args.m)):
         if args.limit and idx >= args.limit:

@@ -88,6 +88,22 @@ class Partition:
         return FrobeniusCoordinates(arms, legs)
 
 
+def partitions_upto(size, max_len=None):
+    """Every partition of at most `size` cells, each exactly once, the empty
+    one first; only those with at most `max_len` parts when it is given."""
+    out = [Partition()]
+
+    def rec(rest, mx, acc):
+        if max_len is not None and len(acc) >= max_len:
+            return
+        for p in range(min(rest, mx), 0, -1):
+            out.append(Partition(acc + [p]))
+            rec(rest - p, p, acc + [p])
+
+    rec(size, size, [])
+    return out
+
+
 class FrobeniusCoordinates:
     """Strictly decreasing arm and leg lengths of equal count."""
 
@@ -131,10 +147,6 @@ class FrobeniusCoordinates:
                     rows.append(0)
                 rows[r] += 1
         return Partition(rows)
-
-
-def from_frobenius(coords):
-    return coords.to_partition()
 
 
 class SkewShape:
@@ -443,7 +455,3 @@ class PolyMatrix:
                 m &= m - 1
             memo[mask] = acc
         return memo[full]
-
-
-def determinant(matrix):
-    return matrix.determinant()

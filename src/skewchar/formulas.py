@@ -31,28 +31,13 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
-def check_preconditions(family, lam, mu, n, m):
-    if not lam.contains(mu):
-        raise ValueError(
-            "mu <= lambda fails: %r not contained in %r" % (mu.parts, lam.parts)
-        )
-    if family is CharacterFamily.GL:
-        if lam.length() > n:
-            raise ValueError("l(lambda) <= n fails: %d > %d" % (lam.length(), n))
-        return
-    if mu.length() > m:
-        raise ValueError("l(mu) <= m fails: %d > %d" % (mu.length(), m))
-    if lam.length() > n + m:
-        raise ValueError("l(lambda) <= n+m fails: %d > %d" % (lam.length(), n + m))
-
-
 def dual_jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     """N x N determinant in elementary symmetric polynomials of the doubled
     alphabet (plain alphabet for the general linear family); for the even
     orthogonal family the determinant is divided by 2 exactly when m = l(mu).
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
-    check_preconditions(family, lam, mu, n, m)
+    tb.check_preconditions(family, lam, mu, n, m)
     if N is None:
         N = lam.first()
     if N < lam.first():
@@ -92,7 +77,7 @@ def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     """N x N determinant in complete homogeneous symmetric polynomials of the
     doubled alphabet (plain alphabet for the general linear family)."""
     lam, mu = _as_partition(lam), _as_partition(mu)
-    check_preconditions(family, lam, mu, n, m)
+    tb.check_preconditions(family, lam, mu, n, m)
     if N is None:
         N = lam.length()
     if N < lam.length():
@@ -151,7 +136,7 @@ def giambelli(family, lam, mu=Partition(), n=1, m=0, block_method=Method.DUAL_JT
     block_method=Method.TABLEAUX recomputes them by enumeration instead.
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
-    check_preconditions(family, lam, mu, n, m)
+    tb.check_preconditions(family, lam, mu, n, m)
     if block_method not in (Method.DUAL_JT, Method.TABLEAUX):
         raise ValueError("block entries come from dual-jt or tableaux")
     by_tab = block_method is Method.TABLEAUX
@@ -212,7 +197,7 @@ def giambelli(family, lam, mu=Partition(), n=1, m=0, block_method=Method.DUAL_JT
 def lgv_character(family, lam, mu=Partition(), n=1, m=0, N=None):
     """Brute-force signed lattice-path sum over the columnwise configuration."""
     lam, mu = _as_partition(lam), _as_partition(mu)
-    check_preconditions(family, lam, mu, n, m)
+    tb.check_preconditions(family, lam, mu, n, m)
     shape = SkewShape(lam, mu)
     model, starts, ends = pth.model_and_endpoints(family, shape, n, m, N)
     return pth.lgv_signed_sum(model, starts, ends)
@@ -222,7 +207,6 @@ def character(family, lam, mu=Partition(), n=1, m=0, method=Method.DUAL_JT, N=No
     """Compute a skew character by the requested route."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     if method is Method.TABLEAUX:
-        check_preconditions(family, lam, mu, n, m)
         return tb.character_by_tableaux(family, SkewShape(lam, mu), n, m)
     if method is Method.DUAL_JT:
         return dual_jacobi_trudi(family, lam, mu, n, m, N)

@@ -60,15 +60,31 @@ def _e_table(n, doubled):
 
 
 @lru_cache(maxsize=None)
-def _h_table(n, rmax, doubled):
-    """h_0..h_rmax as a tuple."""
+def _h_table(n, r, doubled):
+    """h_r of each prefix x_1..x_j of the alphabet, j = 0..N, as a tuple; the
+    last entry is h_r of the whole alphabet.  Entry r is built from entry
+    r - 1, so each (n, r, alphabet) is built once."""
     letters = doubled_letters(n) if doubled else plain_letters(n)
-    table = [LaurentPoly.one(n)] + [LaurentPoly.zero(n)] * rmax
-    for ell in letters:
-        for k in range(1, rmax + 1):
-            # with this letter available: h_k += h_{k-1}(same letters) * letter
-            table[k] = table[k] + table[k - 1].mul_monomial(ell)
+    if r == 0:
+        return (LaurentPoly.one(n),) * (len(letters) + 1)
+    prev = _h_table(n, r - 1, doubled)
+    table = [LaurentPoly.zero(n)]
+    for j, ell in enumerate(letters, start=1):
+        # h_r(x_1..x_j) = h_r(x_1..x_{j-1}) + x_j * h_{r-1}(x_1..x_j)
+        table.append(table[-1] + prev[j].mul_monomial(ell))
     return tuple(table)
+
+
+_H_STEP = 200
+
+
+def _complete(r, n, doubled):
+    if r < 0:
+        return LaurentPoly.zero(n)
+    # a cold start builds from below in steps, so recursion stays shallow
+    for k in range(_H_STEP, r, _H_STEP):
+        _h_table(n, k, doubled)
+    return _h_table(n, r, doubled)[-1]
 
 
 def elementary_pm(r, n):
@@ -80,9 +96,7 @@ def elementary_pm(r, n):
 
 def complete_pm(r, n):
     """h_r of the doubled alphabet; 0 for r < 0, h_0 = 1."""
-    if r < 0:
-        return LaurentPoly.zero(n)
-    return _h_table(n, max(r, 1), True)[r]
+    return _complete(r, n, True)
 
 
 def elementary_plain(r, n):
@@ -93,9 +107,7 @@ def elementary_plain(r, n):
 
 
 def complete_plain(r, n):
-    if r < 0:
-        return LaurentPoly.zero(n)
-    return _h_table(n, max(r, 1), False)[r]
+    return _complete(r, n, False)
 
 
 def _rational_det(rows):

@@ -123,19 +123,25 @@ def _max_cells():
     return int(raw) if raw else DEFAULT_MAX_CELLS
 
 
-def _check_preconditions(family, shape, n, m):
-    if family is CharacterFamily.GL:
-        if shape.outer.length() > n:
-            raise ValueError(
-                "l(lambda) <= n fails: %d > %d" % (shape.outer.length(), n)
-            )
-        return
-    if shape.inner.length() > m:
-        raise ValueError("l(mu) <= m fails: %d > %d" % (shape.inner.length(), m))
-    if shape.outer.length() > n + m:
+def check_preconditions(family, lam, mu, n, m):
+    """Reject input outside every route's domain: negative n or m, mu not
+    inside lambda, or too many rows for the n (and m) available."""
+    if n < 0:
+        raise ValueError("n >= 0 fails: %d < 0" % n)
+    if m < 0:
+        raise ValueError("m >= 0 fails: %d < 0" % m)
+    if not lam.contains(mu):
         raise ValueError(
-            "l(lambda) <= n+m fails: %d > %d" % (shape.outer.length(), n + m)
+            "mu <= lambda fails: %r not contained in %r" % (mu.parts, lam.parts)
         )
+    if family is CharacterFamily.GL:
+        if lam.length() > n:
+            raise ValueError("l(lambda) <= n fails: %d > %d" % (lam.length(), n))
+        return
+    if mu.length() > m:
+        raise ValueError("l(mu) <= m fails: %d > %d" % (mu.length(), m))
+    if lam.length() > n + m:
+        raise ValueError("l(lambda) <= n+m fails: %d > %d" % (lam.length(), n + m))
 
 
 def _row_min_rank(family, r, m):
@@ -150,12 +156,12 @@ def _row_min_rank(family, r, m):
 
 def _iter_fillings(family, shape, n, m):
     """Yield (grid, exps) for every valid filling; both are reused buffers."""
+    check_preconditions(family, shape.outer, shape.inner, n, m)
     if shape.size() > _max_cells():
         raise ValueError(
             "shape has %d cells, over SKEWCHAR_MAX_CELLS=%d"
             % (shape.size(), _max_cells())
         )
-    _check_preconditions(family, shape, n, m)
     cells = shape.cells()
     decos = _FAMILY_DECOS[family]
     even = family is CharacterFamily.O_EVEN

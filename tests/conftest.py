@@ -5,21 +5,6 @@ import pytest
 from skewchar import LaurentPoly, Partition
 
 
-def partitions_upto(size, max_len=None):
-    """Every partition of size at most `size` (optionally bounded length)."""
-    out = [Partition()]
-
-    def rec(rest, mx, acc):
-        for p in range(min(rest, mx), 0, -1):
-            if max_len is None or len(acc) < max_len:
-                out.append(Partition(acc + [p]))
-                rec(rest - p, p, acc + [p])
-
-    for s in range(1, size + 1):
-        rec(s, s, [])
-    return out
-
-
 def partitions_in_box(width, height):
     """Every partition fitting in a width x height box."""
     out = [Partition()]

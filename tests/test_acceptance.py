@@ -1,53 +1,48 @@
 """Acceptance suite: every criterion exact (tolerance zero), one line per
 criterion.  Run with `pytest tests/test_acceptance.py -v -s`.
+
+Criteria 1-6 and 8 run the verification suites of `skewchar verify`
+(skewchar.cli) at the bounds below, so the CLI and these tests share one
+implementation of every check.
 """
 
-import itertools
 import os
-import random
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from skewchar import (
     CharacterFamily,
-    LaurentPoly,
-    Layout,
     Method,
-    Partition,
-    Path,
-    PathModel,
     SkewShape,
-    StepKind,
-    build_E_matrix,
-    build_H_matrix,
     character,
-    character_by_tableaux,
-    complete_pm,
     count_tableaux,
     dual_jacobi_trudi,
-    elementary_pm,
-    enumerate_lgv_families,
-    find_trapped_positions,
-    involution_step,
-    model_and_endpoints,
-    path_gf,
-    path_gf_by_diag_count,
-    reflect_initial_segment,
-    weyl_eval,
 )
-from skewchar.cli import _run_four_way
-from skewchar.paths import reflection_weight_exps
-from skewchar.symfunc import DegeneratePointError
-from conftest import partitions_in_box, partitions_upto
+from skewchar.cli import (
+    _lgv_cases,
+    _map_cases,
+    _run_eh,
+    _run_four_way,
+    _run_involution,
+    _run_lgv,
+    _run_path_lemmas,
+    _run_reflection,
+    _run_weyl,
+    _weyl_cases,
+)
+from skewchar.core import partitions_upto
+from conftest import partitions_in_box
 
 F, M = CharacterFamily, Method
-R, U = StepKind.RIGHT, StepKind.UP
 
 
 def _report(num, name, failures):
     status = "FAIL" if failures else "PASS"
     print("ACCEPTANCE %d %s: %s" % (num, name, status))
     assert not failures, failures[:5]
+
+
+def _failures(results):
+    print("cases: %d" % len(results))
+    return [(name, detail) for name, ok, detail in results if not ok]
 
 
 def test_criterion_1_four_way_agreement():
@@ -64,173 +59,33 @@ def test_criterion_1_four_way_agreement():
                             continue
                         cases.append((fam.value, lam.parts, mu.parts, n, m))
     cases.sort()
-    workers = min(os.cpu_count() or 1, 8)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_four_way, cases, chunksize=64))
-    else:
-        results = [_run_four_way(c) for c in cases]
-    failures = [(name, detail) for name, ok, detail in results if not ok]
-    print("criterion 1 cases: %d" % len(results))
-    _report(1, "four-way agreement (tableaux = dual-jt = jt = giambelli)", failures)
+    results = _map_cases(_run_four_way, cases, min(os.cpu_count() or 1, 8))
+    _report(1, "four-way agreement (tableaux = dual-jt = jt = giambelli)", _failures(results))
 
 
 def test_criterion_2_lgv_route():
-    failures = []
-    for lam in partitions_upto(6):
-        for mu in partitions_upto(lam.size()):
-            if not lam.contains(mu) or mu.length() > 2:
-                continue
-            for fam in (F.GL, F.SP, F.SO_ODD, F.O_EVEN):
-                for n in (1, 2):
-                    ms = (0,) if fam is F.GL else range(mu.length(), 3)
-                    for m in ms:
-                        if fam is F.GL:
-                            if lam.length() > n:
-                                continue
-                        elif lam.length() > n + m:
-                            continue
-                        got = character(fam, lam, mu, n, m, M.LGV_PATHS)
-                        want = character(fam, lam, mu, n, m, M.TABLEAUX)
-                        if got != want:
-                            failures.append((fam.value, lam.parts, mu.parts, n, m))
-    _report(2, "signed lattice-path sums equal the tableau oracle", failures)
+    results = [_run_lgv(c) for c in _lgv_cases(6, (1, 2), (0, 2))]
+    _report(2, "signed lattice-path sums equal the tableau oracle", _failures(results))
 
 
 def test_criterion_3_path_lemma_closed_forms():
-    failures = []
-
-    def e(r, n):
-        return elementary_pm(r, n)
-
-    for n in (1, 2, 3):
-        for a in range(-8, 9):
-            for b in range(-8, 9):
-                if (a + b) % 2 or b < a:
-                    continue
-                for c in range(-8, 9):
-                    f = 2 * n + a + b - c
-                    if f < c:
-                        continue
-                    sp = PathModel(F.SP, Layout.COLUMNWISE, n, 0, base=a + b)
-                    so = PathModel(F.SO_ODD, Layout.COLUMNWISE, n, 0, base=a + b)
-                    oe = PathModel(F.O_EVEN, Layout.COLUMNWISE, n, 0, base=a + b)
-                    key = (n, a, b, c)
-                    if path_gf(sp, (a, b), (c, f)) != e(c - a, n) - e(c - b - 2, n):
-                        failures.append(("sp", key))
-                    if path_gf(so, (a, b), (c, f)) != e(c - a, n) + e(c - b - 1, n):
-                        failures.append(("so", key))
-                    want = e(c - a, n) if b == a else e(c - a, n) + e(c - b, n)
-                    if path_gf(oe, (a, b), (c, f)) != want:
-                        failures.append(("o", key))
-                    for k in (1, 2, 3):
-                        got = path_gf_by_diag_count(so, (a, b), (c, f), k)
-                        if got != e(c - b - k, n) - e(c - b - k - 2, n):
-                            failures.append(("so-k%d" % k, key))
-                    for k in (1, 2):
-                        got = path_gf_by_diag_count(oe, (a, b), (c, f), k)
-                        if b - a >= 2:
-                            want = e(c - b - 2 * k + 2, n) - e(c - b - 2 * k - 2, n)
-                        else:
-                            want = e(c - a - 2 * k, n) - e(c - b - 2 * k - 2, n)
-                        if got != want:
-                            failures.append(("o-k%d" % k, key))
-    _report(3, "path lemma closed forms on the full grid", failures)
-
-
-def _monotone_paths(frm, to):
-    dx, dy = to[0] - frm[0], to[1] - frm[1]
-    if dx < 0 or dy < 0:
-        return
-    for pos in itertools.combinations(range(dx + dy), dx):
-        steps = [U] * (dx + dy)
-        for p in pos:
-            steps[p] = R
-        yield Path(frm, steps)
+    results = _run_path_lemmas(8, 3)
+    _report(3, "path lemma closed forms on the full grid", _failures(results))
 
 
 def test_criterion_4_modified_reflection():
-    failures = []
-    for c in range(0, 11):
-        for f in range(2, 11):
-            if c + f > 10 or f <= c - 2:
-                continue
-            touching = [
-                p
-                for p in _monotone_paths((0, 2), (c, f))
-                if any(y == x - 2 for x, y in p.points())
-            ]
-            images = [reflect_initial_segment(p, -2) for p in touching]
-            target = sorted(map(repr, _monotone_paths((4, -2), (c, f))))
-            if sorted(map(repr, images)) != target:
-                failures.append(("bijection", c, f))
-            for p, q in zip(touching, images):
-                if reflection_weight_exps(p, 7) != reflection_weight_exps(q, 7):
-                    failures.append(("weight", c, f))
-                if reflect_initial_segment(q, -2) != p:
-                    failures.append(("inverse", c, f))
-    _report(4, "modified reflection is a weight-preserving bijection", failures)
+    results = _run_reflection(10)
+    _report(4, "modified reflection is a weight-preserving bijection", _failures(results))
 
 
 def test_criterion_5_matrix_pair_and_convolution():
-    failures = []
-    for n in (1, 2):
-        for N in range(1, 7):
-            for m in range(0, 4):
-                for k in (0, 1, 2):
-                    for t in (-1, 0, 1, 2):
-                        E = build_E_matrix(N, m, k, t, n)
-                        H = build_H_matrix(N, m, k, t, n)
-                        for i in range(N):
-                            for j in range(N):
-                                acc = LaurentPoly.zero(n)
-                                for l in range(N):
-                                    acc = acc + E.rows[i][l] * H.rows[l][j]
-                                want = (
-                                    LaurentPoly.one(n) if i == j else LaurentPoly.zero(n)
-                                )
-                                if acc != want:
-                                    failures.append((N, m, k, t, n))
-    for n in (1, 2):
-        for r in range(0, 2 * n + 3):
-            acc = LaurentPoly.zero(n)
-            for k in range(0, r + 1):
-                term = elementary_pm(r - k, n) * complete_pm(k, n)
-                acc = acc + (term if k % 2 == 0 else -term)
-            want = LaurentPoly.one(n) if r == 0 else LaurentPoly.zero(n)
-            if acc != want:
-                failures.append(("convolution", n, r))
-    _report(5, "E and H matrices are mutually inverse; convolution identity", failures)
+    results = _run_eh()
+    _report(5, "E and H matrices are mutually inverse; convolution identity", _failures(results))
 
 
 def test_criterion_6_weyl_reduction():
-    failures = []
-    rng = random.Random(20240831)
-    for lam in partitions_upto(6, max_len=3):
-        for n in (1, 2, 3):
-            if lam.length() > n:
-                continue
-            for fam in (F.GL, F.SP, F.SO_ODD, F.O_EVEN):
-                ch = character(fam, lam, Partition(), n, 0, M.DUAL_JT)
-                done = 0
-                while done < 20:
-                    pt = [
-                        Fraction(rng.randint(1, 9), rng.randint(1, 9)) + rng.randint(0, 2)
-                        for _ in range(n)
-                    ]
-                    try:
-                        w = weyl_eval(fam, lam, pt)
-                    except DegeneratePointError:
-                        continue
-                    if fam is F.SO_ODD:
-                        v = ch.eval_at([x * x for x in pt])
-                    else:
-                        v = ch.eval_at(pt)
-                    if v != w:
-                        failures.append((fam.value, lam.parts, n, pt))
-                        break
-                    done += 1
-    _report(6, "non-skew characters equal the Weyl ratios at 20 points", failures)
+    results = [_run_weyl(c) for c in _weyl_cases(6, 20240831)]
+    _report(6, "non-skew characters equal the Weyl ratios at 20 points", _failures(results))
 
 
 def test_criterion_7_dimension_symmetry_sanity():
@@ -259,45 +114,5 @@ def test_criterion_7_dimension_symmetry_sanity():
 
 
 def test_criterion_8_involution_pairing():
-    failures = []
-    for lam in partitions_upto(5):
-        if not lam:
-            continue
-        for mu in partitions_upto(lam.size()):
-            if not lam.contains(mu) or mu.length() > 2:
-                continue
-            sh = SkewShape(lam, mu)
-            for n in (1, 2):
-                for m in range(mu.length(), 3):
-                    if lam.length() > n + m:
-                        continue
-                    model, starts, ends = model_and_endpoints(F.O_EVEN, sh, n, m)
-                    clean = {}
-                    clean_count = 0
-                    dirty_sum = {}
-                    for fam in enumerate_lgv_families(model, starts, ends):
-                        is_clean = (
-                            fam.is_strongly_nonintersecting()
-                            and not find_trapped_positions(fam)
-                        )
-                        if is_clean:
-                            clean_count += 1
-                            for exp, cc in fam.signed_weight().terms.items():
-                                clean[exp] = clean.get(exp, 0) + cc
-                        else:
-                            for exp, cc in fam.signed_weight().terms.items():
-                                dirty_sum[exp] = dirty_sum.get(exp, 0) + cc
-                            img = involution_step(fam)
-                            if involution_step(img) != fam:
-                                failures.append(("involution", lam.parts, mu.parts, n, m))
-                            if img.signed_weight() != -fam.signed_weight():
-                                failures.append(("sign", lam.parts, mu.parts, n, m))
-                    if any(dirty_sum.values()):
-                        failures.append(("dirty-net", lam.parts, mu.parts, n, m))
-                    oracle = character_by_tableaux(F.O_EVEN, sh, n, m)
-                    got = LaurentPoly(n, {k: v for k, v in clean.items() if v})
-                    if got != oracle:
-                        failures.append(("clean-weights", lam.parts, mu.parts, n, m))
-                    if clean_count != count_tableaux(F.O_EVEN, sh, n, m):
-                        failures.append(("clean-count", lam.parts, mu.parts, n, m))
-    _report(8, "dirty families cancel; clean families biject onto tableaux", failures)
+    results = _run_involution(5, 2)
+    _report(8, "dirty families cancel; clean families biject onto tableaux", _failures(results))

@@ -71,6 +71,17 @@ def test_usage_errors_exit_2(capsys):
     rc = main(["compute", "--family", "sp", "--shape", "1,1,1,1,1", "--n", "2", "--m", "2"])
     assert rc == 2
     assert "l(lambda) <= n+m fails: 5 > 4" in capsys.readouterr().err
+    for shape, n, m, want in (
+        ("1", "-1", "2", "n >= 0 fails: -1 < 0"),
+        ("0", "-1", "1", "n >= 0 fails: -1 < 0"),
+        ("0", "1", "-1", "m >= 0 fails: -1 < 0"),
+    ):
+        for cmd in ("compute", "count"):
+            rc = main([cmd, "--family", "sp", "--shape", shape, "--n", n, "--m", m])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert want in captured.err
 
 
 def test_verify_four_way_and_determinism(capsys):
@@ -94,6 +105,13 @@ def test_verify_reflection_and_eh(capsys):
 def test_verify_lgv_small(capsys):
     assert main(["verify", "--suite", "lgv", "--max-cells", "3", "--n", "1..2", "--m", "0..1"]) == 0
     assert "failed=0" in capsys.readouterr().out
+
+
+def test_verify_involution_each_case_once(capsys):
+    assert main(["verify", "--suite", "involution", "--max-cells", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(set(lines[:-1])) == len(lines) - 1
+    assert lines[-1] == "checked=158 passed=158 failed=0"
 
 
 def test_paths_rendering(tmp_path, capsys):

@@ -11,9 +11,9 @@ from skewchar import (
     Partition,
     PolyMatrix,
     SkewShape,
-    from_frobenius,
 )
-from conftest import partitions_upto, random_poly
+from skewchar.core import partitions_upto
+from conftest import random_poly
 
 
 def test_conjugate_examples():
@@ -26,7 +26,7 @@ def test_frobenius_examples():
     f = Partition((6, 5, 4, 4, 1)).to_frobenius()
     assert f.arms == (5, 3, 1, 0)
     assert f.legs == (4, 2, 1, 0)
-    assert from_frobenius(f) == Partition((6, 5, 4, 4, 1))
+    assert f.to_partition() == Partition((6, 5, 4, 4, 1))
     g = Partition((3, 2)).to_frobenius()
     assert g.arms == (2, 0) and g.legs == (1, 0)
     assert Partition().to_frobenius().arms == ()
@@ -54,6 +54,18 @@ def test_involutions_exhaustive_size_12():
     for p in partitions_upto(12):
         assert p.conjugate().conjugate() == p
         assert p.to_frobenius().to_partition() == p
+
+
+def test_partitions_upto_each_once():
+    parts = partitions_upto(6)
+    assert len(set(parts)) == len(parts)
+    by_size = [sum(1 for p in parts if p.size() == s) for s in range(7)]
+    assert by_size == [1, 1, 2, 3, 5, 7, 11]
+    assert len(parts) == 30
+    short = partitions_upto(6, max_len=2)
+    assert len(set(short)) == len(short)
+    assert set(short) == {p for p in parts if p.length() <= 2}
+    assert partitions_upto(0) == [Partition()]
 
 
 def test_skew_shape():

@@ -13,8 +13,8 @@ from skewchar import (
     giambelli,
     jacobi_trudi,
 )
+from skewchar.core import partitions_upto
 from skewchar.formulas import _block_entry
-from conftest import partitions_upto
 
 F, M = CharacterFamily, Method
 

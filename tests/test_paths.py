@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from skewchar import (
@@ -33,8 +31,9 @@ from skewchar import (
     tableau_to_paths,
     tableau_weight,
 )
+from skewchar.cli import _monotone_paths, _run_involution, _run_path_lemmas
+from skewchar.core import partitions_upto
 from skewchar.paths import columnwise_endpoints, hookwise_endpoints, reflection_weight_exps
-from conftest import partitions_upto
 
 F = CharacterFamily
 R, U, DN, DG, OH = StepKind.RIGHT, StepKind.UP, StepKind.DOWN, StepKind.DIAG, StepKind.OHORIZ
@@ -150,22 +149,7 @@ def test_gf_from_equals_to():
 
 
 def test_path_gf_closed_forms_grid():
-    for n in (1, 2):
-        for a in range(-4, 5):
-            for b in range(-4, 5):
-                if (a + b) % 2 or b < a:
-                    continue
-                for c in range(-4, 5):
-                    f = 2 * n + a + b - c
-                    if f < c:
-                        continue
-                    sp = PathModel(F.SP, Layout.COLUMNWISE, n, 0, base=a + b)
-                    so = PathModel(F.SO_ODD, Layout.COLUMNWISE, n, 0, base=a + b)
-                    oe = PathModel(F.O_EVEN, Layout.COLUMNWISE, n, 0, base=a + b)
-                    assert path_gf(sp, (a, b), (c, f)) == e(c - a, n) - e(c - b - 2, n)
-                    assert path_gf(so, (a, b), (c, f)) == e(c - a, n) + e(c - b - 1, n)
-                    want = e(c - a, n) if b == a else e(c - a, n) + e(c - b, n)
-                    assert path_gf(oe, (a, b), (c, f)) == want
+    assert [r for r in _run_path_lemmas(4, 2) if not r[1]] == []
 
 
 def test_path_gf_by_diag_count():
@@ -216,17 +200,6 @@ def test_reflection_preconditions():
         reflect_initial_segment(Path((0, 1), [R]), -2)
     with pytest.raises(ValueError, match="d must be even"):
         reflect_initial_segment(Path((0, 2), [R]), 1)
-
-
-def _monotone_paths(frm, to):
-    dx, dy = to[0] - frm[0], to[1] - frm[1]
-    if dx < 0 or dy < 0:
-        return
-    for pos in itertools.combinations(range(dx + dy), dx):
-        steps = [U] * (dx + dy)
-        for p in pos:
-            steps[p] = R
-        yield Path(frm, steps)
 
 
 def test_reflection_two_sided_sweep():
@@ -332,30 +305,7 @@ def test_involution_clean_family_raises():
 
 
 def test_involution_pairs_real_families():
-    for lam in partitions_upto(4):
-        if not lam:
-            continue
-        for mu in partitions_upto(lam.size()):
-            if not lam.contains(mu) or mu.length() > 2:
-                continue
-            sh = SkewShape(lam, mu)
-            for n in (1, 2):
-                for m in range(mu.length(), 3):
-                    if lam.length() > n + m:
-                        continue
-                    model, starts, ends = model_and_endpoints(F.O_EVEN, sh, n, m)
-                    clean = {}
-                    for fam in enumerate_lgv_families(model, starts, ends):
-                        if fam.is_strongly_nonintersecting() and not find_trapped_positions(fam):
-                            assert fam.sign() == 1
-                            for exp, c in fam.signed_weight().terms.items():
-                                clean[exp] = clean.get(exp, 0) + c
-                        else:
-                            img = involution_step(fam)
-                            assert involution_step(img) == fam
-                            assert img.signed_weight() == -fam.signed_weight()
-                    oracle = character_by_tableaux(F.O_EVEN, sh, n, m)
-                    assert LaurentPoly(n, {k: v for k, v in clean.items() if v}) == oracle
+    assert [r for r in _run_involution(4, 2) if not r[1]] == []
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ def test_complete_examples():
     assert complete_pm(2, 1) == LaurentPoly(1, {(2,): 1, (0,): 1, (-2,): 1})
     assert complete_pm(0, 4) == LaurentPoly.one(4)
     assert complete_pm(-3, 2).is_zero()
+    # h_r(x, 1/x) = x^r + x^(r-2) + ... + x^-r, built cold for r past the recursion limit
+    assert complete_pm(1200, 1) == LaurentPoly(1, {(1200 - 2 * k,): 1 for k in range(1201)})
 
 
 def test_doubled_alphabet_duality():

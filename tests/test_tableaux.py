@@ -14,7 +14,7 @@ from skewchar import (
     is_valid_tableau,
     tableau_weight,
 )
-from conftest import partitions_upto
+from skewchar.core import partitions_upto
 
 F = CharacterFamily
 
