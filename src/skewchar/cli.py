@@ -167,7 +167,7 @@ def _run_four_way(case):
 def _lgv_cases(max_cells, n_range, m_range):
     """The four-way cases with at most 6 cells and n <= 2, where the
     brute-force signed path sum stays cheap."""
-    return _four_way_cases(min(max_cells, 6), (1, min(n_range[1], 2)), m_range)
+    return _four_way_cases(min(max_cells, 6), (n_range[0], min(n_range[1], 2)), m_range)
 
 
 def _run_lgv(case):
@@ -180,10 +180,11 @@ def _run_lgv(case):
     return (name, got == oracle, "" if got == oracle else "signed path sum mismatch")
 
 
-def _weyl_cases(max_cells, seed):
+def _weyl_cases(max_cells, n_range, seed):
+    """Non-skew cases with at most 6 cells; the Weyl ratio needs n >= 1."""
     cases = []
     for lam in partitions_upto(min(max_cells, 6)):
-        for n in (1, 2, 3):
+        for n in range(max(n_range[0], 1), n_range[1] + 1):
             if lam.length() > n:
                 continue
             for fam in FAMILIES:
@@ -330,7 +331,7 @@ def _run_eh():
     return results
 
 
-def _run_involution(max_cells, n_max):
+def _run_involution(max_cells, n_range, m_range):
     """Even orthogonal families: the involution pairs the dirty families with
     negated weights, so they cancel; the clean ones have sign +1 and biject
     onto the tableaux."""
@@ -338,11 +339,11 @@ def _run_involution(max_cells, n_max):
     for lam in partitions_upto(max_cells):
         if not lam:
             continue
-        for mu in partitions_upto(lam.size(), max_len=2):
+        for mu in partitions_upto(lam.size(), max_len=m_range[1]):
             if not lam.contains(mu):
                 continue
-            for n in range(1, n_max + 1):
-                for m in range(mu.length(), 3):
+            for n in range(n_range[0], n_range[1] + 1):
+                for m in range(max(m_range[0], mu.length()), m_range[1] + 1):
                     if lam.length() > n + m:
                         continue
                     name = "involution %s/%s n=%d m=%d" % (list(lam.parts), list(mu.parts), n, m)
@@ -391,7 +392,8 @@ def run_verify(args):
             cases = _lgv_cases(args.max_cells, args.n, args.m)
             results.extend(_map_cases(_run_lgv, cases, args.jobs))
         elif suite == "weyl":
-            results.extend(_map_cases(_run_weyl, _weyl_cases(args.max_cells, args.seed), args.jobs))
+            cases = _weyl_cases(args.max_cells, args.n, args.seed)
+            results.extend(_map_cases(_run_weyl, cases, args.jobs))
         elif suite == "path-lemmas":
             results.extend(_run_path_lemmas(4, 2))
         elif suite == "reflection":
@@ -399,7 +401,7 @@ def run_verify(args):
         elif suite == "eh":
             results.extend(_run_eh())
         elif suite == "involution":
-            results.extend(_run_involution(min(args.max_cells, 4), 2))
+            results.extend(_run_involution(min(args.max_cells, 4), args.n, args.m))
         else:
             raise ValueError("unknown suite %r" % suite)
     results.sort(key=lambda r: r[0])

@@ -6,6 +6,7 @@ function, so everything here is safe to share between threads.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -266,6 +267,15 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product by one int add per term pair on packed exponents.
+
+        Each exponent tuple is packed into one int, digit i holding
+        e_i + 2^(w-2) in bits [i*w, (i+1)*w).  The width w exceeds the bit
+        length of every |exponent| of both operands by 2, so every digit
+        lies in (0, 2^(w-1)), a digit of a sum of two keys lies in
+        (0, 2^w) and no carry crosses a digit: the sum of two keys is the
+        key of the product monomial with digits e_i + 2^(w-1).
+        """
         if isinstance(other, int):
             return self.scaled(other)
         self._check(other)
@@ -273,16 +283,24 @@ class LaurentPoly:
             a, b = other, self
         else:
             a, b = self, other
-        terms = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(e, 0) + ca * cb
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return LaurentPoly(self.n_vars, terms)
+        big = max((abs(x) for t in (a.terms, b.terms) for e in t for x in e), default=0)
+        w = big.bit_length() + 2
+        shifts = range(0, self.n_vars * w, w)
+        bias = sum((1 << (w - 2)) << s for s in shifts)
+        pa = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in a.terms.items()]
+        pb = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in b.terms.items()]
+        acc = {}
+        get = acc.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        return LaurentPoly(
+            self.n_vars,
+            {tuple(((k >> s) & mask) - half for s in shifts): c for k, c in acc.items() if c},
+        )
 
     __rmul__ = __mul__
 
@@ -428,30 +446,30 @@ class PolyMatrix:
     def determinant(self):
         """Exact determinant by Laplace expansion memoized over column subsets.
 
-        D[mask] is the determinant of the block made of the first
-        popcount(mask) rows and the columns in mask; O(2^dim) minors.
+        The minor of a mask is the determinant of the block made of the
+        first popcount(mask) rows and the columns in mask.  The minors of
+        size k+1 expand along row k into those of size k, which are then
+        dropped: O(2^dim) minors are computed, and at most
+        C(dim, k) + C(dim, k+1) are held at once.
         """
         n = self.dim
-        if n == 0:
-            return LaurentPoly.one(self.n_vars)
         zero = LaurentPoly.zero(self.n_vars)
-        memo = {0: LaurentPoly.one(self.n_vars)}
-        full = (1 << n) - 1
-        masks = sorted(range(1, full + 1), key=lambda m: m.bit_count())
-        for mask in masks:
-            k = mask.bit_count() - 1  # expand along row k
-            row = self.rows[k]
-            acc = zero
-            sign = -1 if k & 1 else 1
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                entry = row[j]
-                if entry.terms:
-                    sub = memo[mask ^ (1 << j)]
-                    if sub.terms:
-                        acc = acc + (entry * sub if sign > 0 else -(entry * sub))
-                sign = -sign
-                m &= m - 1
-            memo[mask] = acc
-        return memo[full]
+        prev = {0: LaurentPoly.one(self.n_vars)}
+        for k, row in enumerate(self.rows):  # expand along row k
+            level = {}
+            for mask in sorted(sum(1 << j for j in cols) for cols in combinations(range(n), k + 1)):
+                acc = zero
+                sign = -1 if k & 1 else 1
+                m = mask
+                while m:
+                    j = (m & -m).bit_length() - 1
+                    entry = row[j]
+                    if entry.terms:
+                        sub = prev[mask ^ (1 << j)]
+                        if sub.terms:
+                            acc = acc + (entry * sub if sign > 0 else -(entry * sub))
+                    sign = -sign
+                    m &= m - 1
+                level[mask] = acc
+            prev = level
+        return prev[(1 << n) - 1]

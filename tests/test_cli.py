@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,19 @@ def test_verify_reflection_and_eh(capsys):
 def test_verify_lgv_small(capsys):
     assert main(["verify", "--suite", "lgv", "--max-cells", "3", "--n", "1..2", "--m", "0..1"]) == 0
     assert "failed=0" in capsys.readouterr().out
+
+
+def test_verify_suites_honour_n_and_m(capsys):
+    for args, want in (
+        (["lgv", "--max-cells", "1", "--n", "2..2", "--m", "0..0"], {("n", "2"), ("m", "0")}),
+        (["weyl", "--max-cells", "1", "--n", "1..1"], {("n", "1")}),
+        (["weyl", "--max-cells", "1", "--n", "0..1"], {("n", "1")}),
+        (["involution", "--max-cells", "2", "--n", "2..2", "--m", "1..1"], {("n", "2"), ("m", "1")}),
+    ):
+        assert main(["verify", "--suite"] + args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) > 1 and lines[-1].endswith("failed=0")
+        assert {nm for line in lines[:-1] for nm in re.findall(r" ([nm])=(\d+)", line)} == want
 
 
 def test_verify_involution_each_case_once(capsys):

@@ -89,6 +89,73 @@ def test_poly_examples():
     assert sq == LaurentPoly(1, {(2,): 1, (0,): 1 + 1, (-2,): 1})
 
 
+def tuple_loop_mul(a, b):
+    """Reference product: one exponent tuple built per term pair, zero
+    coefficients dropped as they arise.  The packed-exponent kernel of
+    LaurentPoly.__mul__ must match it exactly."""
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = terms.get(e, 0) + ca * cb
+            if s:
+                terms[e] = s
+            elif e in terms:
+                del terms[e]
+    return LaurentPoly(a.n_vars, terms)
+
+
+def _operand(rng, n_vars, span):
+    """Up to 12 terms with exponents in [-span, span], the extremes included,
+    so that products reach +-2*span."""
+    picks = (-span, span, -span + 1, span - 1, 0)
+    out = {}
+    for _ in range(rng.randint(1, 12)):
+        e = tuple(
+            rng.choice(picks) if rng.random() < 0.5 else rng.randint(-span, span)
+            for _ in range(n_vars)
+        )
+        out[e] = rng.choice((-3, -1, 1, 2, 10**30))
+    return LaurentPoly(n_vars, out)
+
+
+@pytest.mark.parametrize("n_vars", [0, 1, 3, 5])
+def test_mul_matches_tuple_loop(rng, n_vars):
+    # the kernel's digit width changes where max |exponent| crosses 63/64
+    # and 127/128; mixed spans give operands on both sides of a boundary
+    spans = (1, 63, 64, 127, 128, 1200)
+    for sa in spans:
+        for sb in spans:
+            for _ in range(3):
+                a, b = _operand(rng, n_vars, sa), _operand(rng, n_vars, sb)
+                assert a * b == tuple_loop_mul(a, b)
+                assert b * a == tuple_loop_mul(a, b)
+
+
+def test_mul_edge_cases(rng):
+    zero = LaurentPoly.zero(3)
+    p = _operand(rng, 3, 64)
+    for u, v in ((zero, p), (p, zero), (zero, zero)):
+        assert u * v == zero == tuple_loop_mul(u, v)
+    assert LaurentPoly.zero(0) * LaurentPoly.one(0) == LaurentPoly.zero(0)
+    # every middle coefficient cancels to zero and must not be kept:
+    # (1 + x + ... + x^k)(1 - x) = 1 - x^(k+1), (x^a - y^b)(x^a + y^b) = x^2a - y^2b
+    for k in (1, 5, 200):
+        geo = LaurentPoly(1, {(i,): 1 for i in range(-k, k + 1)})
+        got = geo * (LaurentPoly.one(1) - x(1))
+        assert got == tuple_loop_mul(geo, LaurentPoly.one(1) - x(1))
+        assert got == x(1, -k) - x(1, k + 1)
+    for e in (63, 64, 127, 128, 1200):
+        u, v = x(1, e, 2), x(2, -e, 2)
+        assert (u - v) * (u + v) == x(1, 2 * e, 2) - x(2, -2 * e, 2)
+    # poly * int and int * poly scale
+    for c in (0, 1, -1, 7, -(10**25)):
+        want = tuple_loop_mul(p, LaurentPoly.constant(3, c))
+        assert p * c == want
+        assert c * p == want
+        assert p.scaled(c) == want
+
+
 def test_poly_ring_laws(rng):
     for _ in range(40):
         a = random_poly(rng, 2)
@@ -173,6 +240,23 @@ def test_determinant_examples():
             [[one if i == j else LaurentPoly.zero(1) for j in range(dim)] for i in range(dim)]
         )
         assert ident.determinant() == one
+
+
+def test_two_level_determinant_banded_vs_leibniz(rng):
+    # mostly-zero banded entries, as in the dual-JT matrices (e_r = 0 for
+    # r > 2n): many minors of each level vanish
+    for dim in (5, 6):
+        for _ in range(3):
+            rows = [
+                [
+                    random_poly(rng, 2, terms=3)
+                    if -1 <= j - i <= 2 and rng.random() < 0.85
+                    else LaurentPoly.zero(2)
+                    for j in range(dim)
+                ]
+                for i in range(dim)
+            ]
+            assert PolyMatrix(rows).determinant() == leibniz(rows, 2)
 
 
 def test_determinant_vs_leibniz(rng):

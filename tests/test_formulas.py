@@ -14,7 +14,7 @@ from skewchar import (
     jacobi_trudi,
 )
 from skewchar.core import partitions_upto
-from skewchar.formulas import _block_entry
+from skewchar.formulas import BLOCK_CACHE_SIZE, _block_entry, _dual_jt_cached
 
 F, M = CharacterFamily, Method
 
@@ -63,6 +63,19 @@ def test_giambelli_block_test_mode():
             fast = giambelli(fam, lam, mu, n, m)
             slow = giambelli(fam, lam, mu, n, m, block_method=M.TABLEAUX)
             assert fast == slow
+
+
+def test_block_cache_is_bounded():
+    _dual_jt_cached.cache_clear()
+    try:
+        for m in range(BLOCK_CACHE_SIZE + 50):
+            _dual_jt_cached(F.SP, (1,), (), 1, m, 1)
+        info = _dual_jt_cached.cache_info()
+        assert info.maxsize == BLOCK_CACHE_SIZE
+        assert info.currsize == BLOCK_CACHE_SIZE
+        assert _dual_jt_cached(F.SP, (1,), (), 1, 0, 1) == x(1) + x(1, -1)
+    finally:
+        _dual_jt_cached.cache_clear()
 
 
 def test_lambda_equals_mu_is_one_by_every_method():

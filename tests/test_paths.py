@@ -305,7 +305,7 @@ def test_involution_clean_family_raises():
 
 
 def test_involution_pairs_real_families():
-    assert [r for r in _run_involution(4, 2) if not r[1]] == []
+    assert [r for r in _run_involution(4, (1, 2), (0, 2)) if not r[1]] == []
 
 
 # ---------------------------------------------------------------------------
