@@ -1,8 +1,8 @@
 """Command line front end: compute characters, count tableaux, render path
 families and run verification sweeps.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 internal invariant failure.
+Exit codes: 0 success, 1 verification mismatch, 2 usage, parse or I/O
+error, 3 internal invariant failure or any other unexpected error.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from .paths import (
     path_gf,
     path_gf_by_diag_count,
     reflect_initial_segment,
-    reflection_weight_exps,
     tableau_to_paths,
 )
 from .render import ascii_render, svg_render
@@ -95,7 +95,10 @@ def parse_shape(text):
 def _parse_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise argparse.ArgumentTypeError("empty range %s: %d > %d" % (text, lo, hi))
+        return lo, hi
     v = int(text)
     return v, v
 
@@ -181,10 +184,10 @@ def _run_lgv(case):
 
 
 def _weyl_cases(max_cells, n_range, seed):
-    """Non-skew cases with at most 6 cells; the Weyl ratio needs n >= 1."""
+    """Non-skew cases with at most 6 cells."""
     cases = []
     for lam in partitions_upto(min(max_cells, 6)):
-        for n in range(max(n_range[0], 1), n_range[1] + 1):
+        for n in range(n_range[0], n_range[1] + 1):
             if lam.length() > n:
                 continue
             for fam in FAMILIES:
@@ -213,9 +216,9 @@ def _run_weyl(case):
     return (name, True, "")
 
 
-def _run_path_lemmas(bound, n_max):
+def _run_path_lemmas(bound, n_range):
     results = []
-    for n in range(1, n_max + 1):
+    for n in range(n_range[0], n_range[1] + 1):
         ok = True
         detail = ""
         for a in range(-bound, bound + 1):
@@ -270,6 +273,8 @@ def _run_reflection(limit):
     involution from the paths (0,2) -> (c,f) that touch the line onto all
     paths (4,-2) -> (c,f), for c + f <= limit."""
     nvars = max(1, (limit + 6) // 2 + 1)
+    # both sides start on the antidiagonal x + y = 2
+    model = PathModel(CharacterFamily.SP, Layout.COLUMNWISE, nvars, 0, base=2)
     results = []
     for c in range(0, limit + 1):
         for f in range(-3, limit + 1):
@@ -282,7 +287,7 @@ def _run_reflection(limit):
             images = [reflect_initial_segment(p, -2) for p in touched]
             ok, detail = True, ""
             for p, q in zip(touched, images):
-                if reflection_weight_exps(p, nvars) != reflection_weight_exps(q, nvars):
+                if p.weight_exps(model) != q.weight_exps(model):
                     ok, detail = False, "weight changed"
                 if reflect_initial_segment(q, -2) != p:
                     ok, detail = False, "not an involution"
@@ -395,7 +400,7 @@ def run_verify(args):
             cases = _weyl_cases(args.max_cells, args.n, args.seed)
             results.extend(_map_cases(_run_weyl, cases, args.jobs))
         elif suite == "path-lemmas":
-            results.extend(_run_path_lemmas(4, 2))
+            results.extend(_run_path_lemmas(4, args.n))
         elif suite == "reflection":
             results.extend(_run_reflection(10))
         elif suite == "eh":
@@ -526,9 +531,12 @@ def main(argv=None):
     except (NonExactDivisionError, MalformedFamilyError) as exc:
         sys.stderr.write("internal invariant failure: %s\n" % exc)
         return 3
-    except (ParseError, ContainmentError, ValueError) as exc:
+    except (ParseError, ContainmentError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

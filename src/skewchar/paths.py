@@ -23,13 +23,10 @@ class StepKind(Enum):
     DIAG = (1, 1)
     OHORIZ = (2, 0)
 
-    @property
-    def dx(self):
-        return self.value[0]
-
-    @property
-    def dy(self):
-        return self.value[1]
+    def __init__(self, dx, dy):
+        # plain attributes: the walkers read them once per step tried
+        self.dx = dx
+        self.dy = dy
 
 
 RIGHT, UP, DOWN, DIAG, OHORIZ = (
@@ -65,7 +62,7 @@ class NoSiteError(ValueError):
 class PathModel:
     """Step legality, boundary rules and step weights for one family/layout."""
 
-    __slots__ = ("family", "layout", "n", "m", "base")
+    __slots__ = ("family", "layout", "n", "m", "base", "kinds")
 
     def __init__(self, family, layout, n, m, base=None):
         if layout is Layout.HOOKWISE and family is CharacterFamily.GL:
@@ -75,6 +72,14 @@ class PathModel:
         self.n = n
         self.m = m
         self.base = 2 * m if base is None else base
+        kinds = [RIGHT, UP]
+        if layout is Layout.HOOKWISE:
+            kinds.append(DOWN)
+        if family is CharacterFamily.SO_ODD:
+            kinds.append(DIAG)
+        elif family is CharacterFamily.O_EVEN:
+            kinds.append(OHORIZ)
+        self.kinds = tuple(kinds)
 
     def __repr__(self):
         return "PathModel(%s, %s, n=%d, m=%d, base=%d)" % (
@@ -84,16 +89,6 @@ class PathModel:
             self.m,
             self.base,
         )
-
-    def kinds(self):
-        ks = [RIGHT, UP]
-        if self.layout is Layout.HOOKWISE:
-            ks.append(DOWN)
-        if self.family is CharacterFamily.SO_ODD:
-            ks.append(DIAG)
-        elif self.family is CharacterFamily.O_EVEN:
-            ks.append(OHORIZ)
-        return ks
 
     def vertex_ok(self, x, y):
         if self.family is CharacterFamily.GL:
@@ -121,7 +116,7 @@ class PathModel:
 
     def step_ok(self, x, y, kind):
         """Geometric legality of a step from (x, y); the no-descent-after-
-        ascent discipline is enforced by callers."""
+        ascent discipline is enforced by _moves."""
         nx, ny = x + kind.dx, y + kind.dy
         if not (self.vertex_ok(x, y) and self.vertex_ok(nx, ny)):
             return False
@@ -220,20 +215,14 @@ class Path:
         return tuple(exps)
 
     def validate(self, model):
-        x, y = self.start
-        seen_up = False
-        prev = None
+        """Raise InvalidFamilyError unless every step is a legal move of model."""
+        state = (*self.start, model.layout is Layout.COLUMNWISE, False)
+        end = self.end
         for s in self.steps:
-            if not model.step_ok(x, y, s):
-                raise InvalidFamilyError("illegal step %s at %r" % (s.name, (x, y)))
-            if s is DOWN and seen_up:
-                raise InvalidFamilyError("descending step after an ascending one")
-            if s is UP and prev is DOWN:
-                raise InvalidFamilyError("ascending step backtracks a descending one")
-            if s in UP_KINDS:
-                seen_up = True
-            prev = s
-            x, y = x + s.dx, y + s.dy
+            nxt = next((mv[1:] for mv in _moves(model, *state, end, ()) if mv[0] is s), None)
+            if nxt is None:
+                raise InvalidFamilyError("illegal step %s at %r" % (s.name, state[:2]))
+            state = nxt
 
 
 class PathFamily:
@@ -576,7 +565,7 @@ def _tableau_to_hook_paths(family, t, n, m):
     return PathFamily(model, paths, hook_connection(p, q))
 
 
-def _decode_ascending(model, path, skip_to_positive=False):
+def _decode_ascending(model, path):
     """Entries read from the horizontal/diagonal/arc steps of an ascending
     run, using the antidiagonal level rule."""
     entries = []
@@ -766,53 +755,82 @@ def _hook_paths_to_tableau(pf):
 # generating functions and enumeration
 
 
-def path_gf(model, frm, to):
-    """Exact weighted sum over all model-legal paths from frm to to."""
+def _moves(model, x, y, up_phase, after_down, to, blocked):
+    """The legal next steps from (x, y) of a path heading for to, as
+    (kind, nx, ny, up_phase, after_down) with the state after the step.
+
+    This is the one step rule: model.step_ok, no descent once the path has
+    ascended (up_phase), no unit ascent straight after a descent (it would
+    revisit the point above), no step that overshoots to, and no step onto a
+    blocked point.  Columnwise paths start in the up phase.
+    """
+    tx, ty = to
+    if up_phase and y > ty:
+        return []
+    out = []
+    for kind in model.kinds:
+        if kind is DOWN and up_phase:
+            continue
+        if kind is UP and after_down:
+            continue
+        nx, ny = x + kind.dx, y + kind.dy
+        if nx > tx:
+            continue
+        up = kind in UP_KINDS
+        if up and ny > ty:
+            continue
+        if (nx, ny) in blocked:
+            continue
+        if not model.step_ok(x, y, kind):
+            continue
+        out.append((kind, nx, ny, up_phase or up, kind is DOWN))
+    return out
+
+
+def _graded_gf(model, frm, to):
+    """Special-step count k -> weighted sum over the model-legal paths from
+    frm to to with exactly k special steps (diagonal or o-horizontal); counts
+    with no path are absent."""
     frm, to = tuple(frm), tuple(to)
     n = model.n
-    zero = LaurentPoly.zero(n)
-    one = LaurentPoly.one(n)
     if not (model.vertex_ok(*frm) and model.vertex_ok(*to)):
-        return zero
-    kinds = model.kinds()
+        return {}
+    arrived = {0: LaurentPoly.one(n)}
     memo = {}
 
     def gf(x, y, up_phase, after_down):
         if (x, y) == to:
-            return one
-        if up_phase and y > to[1]:
-            return zero
+            return arrived
         key = (x, y, up_phase, after_down)
         got = memo.get(key)
         if got is not None:
             return got
-        acc = zero
-        for kind in kinds:
-            if kind is DOWN and up_phase:
-                continue
-            if kind is UP and after_down:
-                continue  # would revisit the point above
-            nx, ny = x + kind.dx, y + kind.dy
-            if nx > to[0]:
-                continue
-            if kind in UP_KINDS and ny > to[1]:
-                continue
-            if not model.step_ok(x, y, kind):
-                continue
-            nxt = gf(nx, ny, up_phase or kind in UP_KINDS, kind is DOWN)
-            if nxt.is_zero():
-                continue
+        acc = {}
+        for kind, nx, ny, up, down in _moves(model, x, y, up_phase, after_down, to, ()):
+            shift = 1 if kind is DIAG or kind is OHORIZ else 0
+            exps = None
             if kind is RIGHT:
                 v, e = model.right_exp(x, y)
                 exps = [0] * n
                 exps[v] = e
-                acc = acc + nxt.mul_monomial(exps)
-            else:
-                acc = acc + nxt
+            for k, poly in gf(nx, ny, up, down).items():
+                if exps is not None:
+                    poly = poly.mul_monomial(exps)
+                k += shift
+                acc[k] = acc[k] + poly if k in acc else poly
+        acc = {k: poly for k, poly in acc.items() if not poly.is_zero()}
         memo[key] = acc
         return acc
 
     return gf(frm[0], frm[1], model.layout is Layout.COLUMNWISE, False)
+
+
+def path_gf(model, frm, to):
+    """Exact weighted sum over all model-legal paths from frm to to."""
+    acc = LaurentPoly.zero(model.n)
+    for poly in _graded_gf(model, frm, to).values():
+        acc = acc + poly
+    return acc
 
 
 def path_gf_by_diag_count(model, frm, to, k):
@@ -820,60 +838,7 @@ def path_gf_by_diag_count(model, frm, to, k):
     steps for the odd family, o-horizontal steps for the even one)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    special = DIAG if model.family is CharacterFamily.SO_ODD else OHORIZ
-    frm, to = tuple(frm), tuple(to)
-    n = model.n
-    zero = LaurentPoly.zero(n)
-    one = LaurentPoly.one(n)
-    if not (model.vertex_ok(*frm) and model.vertex_ok(*to)):
-        return zero
-    kinds = model.kinds()
-    memo = {}
-
-    def gf(x, y, up_phase, after_down, rem):
-        if (x, y) == to:
-            return one if rem == 0 else zero
-        if up_phase and y > to[1]:
-            return zero
-        key = (x, y, up_phase, after_down, rem)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = zero
-        for kind in kinds:
-            if kind is DOWN and up_phase:
-                continue
-            if kind is UP and after_down:
-                continue
-            if kind is special and rem == 0:
-                continue
-            nx, ny = x + kind.dx, y + kind.dy
-            if nx > to[0]:
-                continue
-            if kind in UP_KINDS and ny > to[1]:
-                continue
-            if not model.step_ok(x, y, kind):
-                continue
-            nxt = gf(
-                nx,
-                ny,
-                up_phase or kind in UP_KINDS,
-                kind is DOWN,
-                rem - 1 if kind is special else rem,
-            )
-            if nxt.is_zero():
-                continue
-            if kind is RIGHT:
-                v, e = model.right_exp(x, y)
-                exps = [0] * n
-                exps[v] = e
-                acc = acc + nxt.mul_monomial(exps)
-            else:
-                acc = acc + nxt
-        memo[key] = acc
-        return acc
-
-    return gf(frm[0], frm[1], model.layout is Layout.COLUMNWISE, False, k)
+    return _graded_gf(model, frm, to).get(k, LaurentPoly.zero(model.n))
 
 
 def enumerate_paths(model, frm, to, blocked=frozenset()):
@@ -884,31 +849,15 @@ def enumerate_paths(model, frm, to, blocked=frozenset()):
         return
     if not (model.vertex_ok(*frm) and model.vertex_ok(*to)):
         return
-    kinds = model.kinds()
     steps = []
 
     def rec(x, y, up_phase, after_down):
         if (x, y) == to:
-            yield Path(frm, list(steps))
+            yield Path(frm, steps)
             return
-        if up_phase and y > to[1]:
-            return
-        for kind in kinds:
-            if kind is DOWN and up_phase:
-                continue
-            if kind is UP and after_down:
-                continue
-            nx, ny = x + kind.dx, y + kind.dy
-            if nx > to[0]:
-                continue
-            if kind in UP_KINDS and ny > to[1]:
-                continue
-            if (nx, ny) in blocked:
-                continue
-            if not model.step_ok(x, y, kind):
-                continue
+        for kind, nx, ny, up, down in _moves(model, x, y, up_phase, after_down, to, blocked):
             steps.append(kind)
-            yield from rec(nx, ny, up_phase or kind in UP_KINDS, kind is DOWN)
+            yield from rec(nx, ny, up, down)
             steps.pop()
 
     yield from rec(frm[0], frm[1], model.layout is Layout.COLUMNWISE, False)
@@ -1005,22 +954,6 @@ def reflect_initial_segment(path, d):
         else:
             reflected.append((y - d, x + d))
     return Path.from_points(reflected + pts[touch + 1 :])
-
-
-def reflection_weight_exps(path, n):
-    """Weight exponents of a right/up path under the level labelling anchored
-    at the path's own start: level 2i-2 gives x_i^-1, level 2i-1 gives x_i."""
-    base = path.start[0] + path.start[1]
-    exps = [0] * n
-    x, y = path.start
-    for s in path.steps:
-        if s is RIGHT:
-            lev = x + y - base
-            if not 0 <= lev < 2 * n:
-                raise ValueError("horizontal step outside the alphabet")
-            exps[lev // 2] += -1 if lev % 2 == 0 else 1
-        x, y = x + s.dx, y + s.dy
-    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,22 +1079,29 @@ def _collect_crossings(pf, roles):
     return sites
 
 
-def find_trapped_positions(pf):
-    """All trapped positions of an even-orthogonal family, nearest first."""
-    if pf.model.family is not CharacterFamily.O_EVEN:
-        raise ValueError("trapped positions are defined for the even orthogonal family")
+def _trap_sites(pf, roles, full):
+    """(D, hit) for each odd antidiagonal D whose chain walk finds a trapped
+    position, nearest first."""
     if not pf.paths:
         return []
-    roles = _roles(pf)
-    full = set(roles)
-    full.update(pf.midpoint_set())
     _, maxx, _, maxy = _family_bbox(pf)
     out = []
     for D in range(2 * pf.model.m + 1, maxx + maxy + 1, 2):
         hit = _walk_chain(pf, D, roles, full, for_flip=False)
-        if hit is None:
-            continue
-        kind, arg = hit
+        if hit is not None:
+            out.append((D, hit))
+    return out
+
+
+def find_trapped_positions(pf):
+    """All trapped positions of an even-orthogonal family, nearest first."""
+    if pf.model.family is not CharacterFamily.O_EVEN:
+        raise ValueError("trapped positions are defined for the even orthogonal family")
+    roles = _roles(pf)
+    full = set(roles)
+    full.update(pf.midpoint_set())
+    out = []
+    for D, (kind, arg) in _trap_sites(pf, roles, full):
         if kind == "a":
             out.append((arg, D - arg))
         elif kind == "b":
@@ -1303,12 +1243,7 @@ def involution_step(pf):
     full = set(roles)
     full.update(pf.midpoint_set())
     sites = _collect_crossings(pf, roles)
-    if pf.paths:
-        _, maxx, _, maxy = _family_bbox(pf)
-        for D in range(2 * pf.model.m + 1, maxx + maxy + 1, 2):
-            hit = _walk_chain(pf, D, roles, full, for_flip=False)
-            if hit is not None:
-                sites.append((D, "trap", hit))
+    sites.extend((D, "trap", hit) for D, hit in _trap_sites(pf, roles, full))
     if not sites:
         raise NoSiteError("family has no crossing and no trapped position")
     dmin = min(s[0] for s in sites)

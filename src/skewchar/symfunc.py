@@ -174,7 +174,9 @@ def weyl_eval(family, lam, point):
             for x in point
         ]
         den = [[x ** (n - j) + x ** -(n - j) for j in range(1, n + 1)] for x in point]
-        factor = Fraction(2 if lam.part(n) != 0 else 1)
+        # the j = n column of den is x^0 + x^0 = 2, a factor num shares only
+        # when lam_n = 0; at n = 0 there is no such column
+        factor = Fraction(2 if n and lam.part(n) != 0 else 1)
     elif family is CharacterFamily.SO_ODD:
         # exponents lam_j + n - j + 1/2 become odd integers after x = y^2
         num = [

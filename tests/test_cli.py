@@ -4,6 +4,7 @@ import re
 import pytest
 
 from skewchar import LaurentPoly, Partition, character, CharacterFamily, Method
+from skewchar import cli
 from skewchar.cli import ContainmentError, ParseError, main, parse_shape
 
 
@@ -85,6 +86,30 @@ def test_usage_errors_exit_2(capsys):
             assert want in captured.err
 
 
+def test_io_error_exits_2_and_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "missing" / "poly.txt")
+    rc = main(["compute", "--family", "sp", "--shape", "1", "--n", "1", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "character", boom)
+    rc = main(["compute", "--family", "sp", "--shape", "1", "--n", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_reversed_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lgv", "--n", "3..1"])
+    assert exc.value.code == 2
+    assert "empty range 3..1: 3 > 1" in capsys.readouterr().err
+
+
 def test_verify_four_way_and_determinism(capsys):
     args = ["verify", "--suite", "four-way", "--max-cells", "4", "--n", "1..2", "--m", "0..2"]
     assert main(args) == 0
@@ -112,7 +137,8 @@ def test_verify_suites_honour_n_and_m(capsys):
     for args, want in (
         (["lgv", "--max-cells", "1", "--n", "2..2", "--m", "0..0"], {("n", "2"), ("m", "0")}),
         (["weyl", "--max-cells", "1", "--n", "1..1"], {("n", "1")}),
-        (["weyl", "--max-cells", "1", "--n", "0..1"], {("n", "1")}),
+        (["weyl", "--max-cells", "1", "--n", "0..1"], {("n", "0"), ("n", "1")}),
+        (["path-lemmas", "--n", "2..3"], {("n", "2"), ("n", "3")}),
         (["involution", "--max-cells", "2", "--n", "2..2", "--m", "1..1"], {("n", "2"), ("m", "1")}),
     ):
         assert main(["verify", "--suite"] + args) == 0

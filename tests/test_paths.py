@@ -19,6 +19,7 @@ from skewchar import (
     complete_pm,
     elementary_pm,
     enumerate_lgv_families,
+    enumerate_paths,
     enumerate_tableaux,
     find_trapped_positions,
     involution_step,
@@ -33,7 +34,7 @@ from skewchar import (
 )
 from skewchar.cli import _monotone_paths, _run_involution, _run_path_lemmas
 from skewchar.core import partitions_upto
-from skewchar.paths import columnwise_endpoints, hookwise_endpoints, reflection_weight_exps
+from skewchar.paths import columnwise_endpoints, hookwise_endpoints
 
 F = CharacterFamily
 R, U, DN, DG, OH = StepKind.RIGHT, StepKind.UP, StepKind.DOWN, StepKind.DIAG, StepKind.OHORIZ
@@ -149,7 +150,7 @@ def test_gf_from_equals_to():
 
 
 def test_path_gf_closed_forms_grid():
-    assert [r for r in _run_path_lemmas(4, 2) if not r[1]] == []
+    assert [r for r in _run_path_lemmas(4, (1, 2)) if not r[1]] == []
 
 
 def test_path_gf_by_diag_count():
@@ -180,6 +181,57 @@ def test_diag_count_telescopes():
     assert total == path_gf(so, (0, 2), (3, 3))
 
 
+def _walker_models():
+    for layout in Layout:
+        for fam in F:
+            if layout is Layout.HOOKWISE and fam is F.GL:
+                continue
+            for n in (1, 2):
+                for m in (0, 1):
+                    yield PathModel(fam, layout, n, m)
+
+
+def test_walker_routes_agree():
+    # the DP, the enumerator and validate all read the one step rule
+    box = [(x, y) for x in range(-2, 3) for y in range(-1, 5)]
+    for model in _walker_models():
+        for frm in box:
+            for to in box:
+                want = LaurentPoly.zero(model.n)
+                for p in enumerate_paths(model, frm, to):
+                    assert p.end == to
+                    p.validate(model)
+                    want = want + LaurentPoly.monomial(p.weight_exps(model))
+                assert path_gf(model, frm, to) == want, (model, frm, to)
+                # each special step advances x, so k <= to[0] - frm[0]
+                graded = LaurentPoly.zero(model.n)
+                for k in range(max(0, to[0] - frm[0]) + 1):
+                    graded = graded + path_gf_by_diag_count(model, frm, to, k)
+                assert graded == want, (model, frm, to)
+
+
+def test_validate_rejects_illegal_steps():
+    hook = PathModel(F.SO_ODD, Layout.HOOKWISE, 2, 1)
+    Path((0, 4), [DN, R, U]).validate(hook)
+    for path in (
+        Path((0, 4), [R, U, DN]),  # a descent after an ascent
+        Path((0, 4), [DN, U]),  # an ascent straight after a descent
+        Path((0, 4), [DN, R, DN]),  # a descent right of the seam
+        Path((0, 0), [OH]),  # a step the odd model does not have
+    ):
+        with pytest.raises(InvalidFamilyError, match="illegal step"):
+            path.validate(hook)
+    col = PathModel(F.SP, Layout.COLUMNWISE, 1, 0)
+    Path((0, 0), [R, U, U]).validate(col)
+    for path in (
+        Path((0, 0), [U, U, R]),  # a horizontal step above the alphabet
+        Path((0, 1), [DN]),  # columnwise paths never descend
+        Path((0, 0), [DG]),
+    ):
+        with pytest.raises(InvalidFamilyError, match="illegal step"):
+            path.validate(col)
+
+
 # ---------------------------------------------------------------------------
 # modified reflection
 
@@ -190,7 +242,8 @@ def test_reflection_figure():
     refl = reflect_initial_segment(orig, 0)
     assert refl == Path((3, 1), [U, R, R, R, R, U, U, U, R, U, U, U, R, R, U, R, U])
     assert reflect_initial_segment(refl, 0) == orig
-    assert reflection_weight_exps(orig, 8) == reflection_weight_exps(refl, 8)
+    model = PathModel(F.SP, Layout.COLUMNWISE, 8, 0, base=4)
+    assert orig.weight_exps(model) == refl.weight_exps(model)
 
 
 def test_reflection_preconditions():
@@ -203,6 +256,7 @@ def test_reflection_preconditions():
 
 
 def test_reflection_two_sided_sweep():
+    model = PathModel(F.SP, Layout.COLUMNWISE, 6, 0, base=2)
     for c, f in [(3, 5), (4, 2), (2, 4), (5, 3), (4, 4), (6, 4)]:
         touching = [
             p
@@ -213,7 +267,7 @@ def test_reflection_two_sided_sweep():
         target = list(_monotone_paths((4, -2), (c, f)))
         assert sorted(map(repr, images)) == sorted(map(repr, target))
         for p, q in zip(touching, images):
-            assert reflection_weight_exps(p, 6) == reflection_weight_exps(q, 6)
+            assert p.weight_exps(model) == q.weight_exps(model)
             assert reflect_initial_segment(q, -2) == p
 
 

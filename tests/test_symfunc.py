@@ -72,6 +72,8 @@ def test_weyl_examples():
     assert weyl_eval(F.O_EVEN, Partition((1,)), [2]) == Fraction(5, 2)
     # so_(1)(x) = x + 1 + 1/x under x = y^2 at y = 2
     assert weyl_eval(F.SO_ODD, Partition((1,)), [2]) == 4 + 1 + Fraction(1, 4)
+    for fam in F:  # no variables: the empty character is 1
+        assert weyl_eval(fam, Partition(), []) == 1
 
 
 def test_weyl_degenerate_point():
