@@ -387,6 +387,9 @@ SUITES = ("four-way", "lgv", "weyl", "path-lemmas", "reflection", "eh", "involut
 
 
 def run_verify(args):
+    for name, (lo, _) in (("n", args.n), ("m", args.m)):
+        if lo < 0:
+            raise ValueError("%s >= 0 fails: %d < 0" % (name, lo))
     suites = SUITES if args.suite == "all" else (args.suite,)
     results = []
     for suite in suites:

@@ -31,6 +31,23 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
+# Each determinant entry is e_r (dual-JT) or h_r (JT) of the doubled
+# alphabet plus one family twist term; the general linear family has no twist
+# and uses the plain alphabet.  Dual-JT twist: sign * e_{l'_i + m'_j - i - j
+# - 2m + off}.  JT twist: sign * h_{l_i - i - j + 2m + off}, in the columns
+# j > m + threshold only.
+_DUAL_JT_TWIST = {
+    CharacterFamily.SP: (-1, 0),
+    CharacterFamily.SO_ODD: (1, 1),
+    CharacterFamily.O_EVEN: (1, 2),
+}
+_JT_TWIST = {
+    CharacterFamily.SP: (1, 2, 1),
+    CharacterFamily.SO_ODD: (1, 1, 0),
+    CharacterFamily.O_EVEN: (-1, 0, 0),
+}
+
+
 def dual_jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     """N x N determinant in elementary symmetric polynomials of the doubled
     alphabet (plain alphabet for the general linear family); for the even
@@ -43,27 +60,18 @@ def dual_jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     if N < lam.first():
         raise ValueError("lambda_1 <= N fails: %d > %d" % (lam.first(), N))
     lc, mc = lam.conjugate(), mu.conjugate()
-    if family is CharacterFamily.GL:
-        rows = [
-            [
-                elementary_plain(lc.part(i) - mc.part(j) - i + j, n)
-                for j in range(1, N + 1)
-            ]
-            for i in range(1, N + 1)
-        ]
-        return PolyMatrix(rows, n).determinant()
-    sign, off = {
-        CharacterFamily.SP: (-1, 0),
-        CharacterFamily.SO_ODD: (1, 1),
-        CharacterFamily.O_EVEN: (1, 2),
-    }[family]
+    e = elementary_plain if family is CharacterFamily.GL else elementary_pm
+    twist = _DUAL_JT_TWIST.get(family)
     rows = []
     for i in range(1, N + 1):
         row = []
         for j in range(1, N + 1):
-            entry = elementary_pm(lc.part(i) - mc.part(j) - i + j, n)
-            extra = elementary_pm(lc.part(i) + mc.part(j) - i - j - 2 * m + off, n)
-            row.append(entry + extra.scaled(sign))
+            entry = e(lc.part(i) - mc.part(j) - i + j, n)
+            if twist:
+                sign, off = twist
+                extra = e(lc.part(i) + mc.part(j) - i - j - 2 * m + off, n)
+                entry = entry + extra.scaled(sign)
+            row.append(entry)
         rows.append(row)
     det = PolyMatrix(rows, n).determinant()
     # the halving argument doubles the first column, which needs N >= 1;
@@ -82,34 +90,23 @@ def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
         N = lam.length()
     if N < lam.length():
         raise ValueError("l(lambda) <= N fails: %d > %d" % (lam.length(), N))
-    if family is CharacterFamily.GL:
-        rows = [
-            [
-                complete_plain(lam.part(i) - mu.part(j) - i + j, n)
-                for j in range(1, N + 1)
-            ]
-            for i in range(1, N + 1)
-        ]
-        return PolyMatrix(rows, n).determinant()
-    sign, off, thresh = {
-        CharacterFamily.SP: (1, 2, 1),
-        CharacterFamily.SO_ODD: (1, 1, 0),
-        CharacterFamily.O_EVEN: (-1, 0, 0),
-    }[family]
+    h = complete_plain if family is CharacterFamily.GL else complete_pm
+    twist = _JT_TWIST.get(family)
     rows = []
     for i in range(1, N + 1):
         row = []
         for j in range(1, N + 1):
-            entry = complete_pm(lam.part(i) - mu.part(j) - i + j, n)
-            if j > m + thresh:
-                extra = complete_pm(lam.part(i) - i - j + 2 * m + off, n)
+            entry = h(lam.part(i) - mu.part(j) - i + j, n)
+            if twist and j > m + twist[2]:
+                sign, off, _ = twist
+                extra = h(lam.part(i) - i - j + 2 * m + off, n)
                 entry = entry + extra.scaled(sign)
             row.append(entry)
         rows.append(row)
     return PolyMatrix(rows, n).determinant()
 
 
-# Giambelli block entries kept at once; acceptance criterion 1 (the 4x4 box,
+# Giambelli hook blocks kept at once; acceptance criterion 1 (the 4x4 box,
 # n <= 3, m <= 2) uses at most 693 distinct entries, so the whole sweep fits
 BLOCK_CACHE_SIZE = 1024
 
@@ -119,84 +116,40 @@ def _dual_jt_cached(family, lam_parts, mu_parts, n, m, N):
     return dual_jacobi_trudi(family, Partition(lam_parts), Partition(mu_parts), n, m, N)
 
 
-def _hook_partition(arm, leg):
-    return Partition((arm + 1,) + (1,) * leg)
-
-
-def _block_entry(family, lam, mu, n, m, by_tableaux=False):
-    """A Giambelli block entry: the character of the given (possibly skew)
-    shape, 0 when the inner shape is not contained in the outer one."""
+def _skew_block(route, family, outer, inner, n, m):
+    """A single-row or single-column Giambelli block by the given 1 x 1
+    determinant route (zero parts dropped); 0 when inner does not fit."""
+    lam, mu = Partition(filter(None, outer)), Partition(filter(None, inner))
     if not lam.contains(mu):
         return LaurentPoly.zero(n)
-    if by_tableaux:
-        return tb.character_by_tableaux(family, SkewShape(lam, mu), n, m)
-    return _dual_jt_cached(family, lam.parts, mu.parts, n, m, lam.first())
+    return route(family, lam, mu, n, m)
 
 
-def giambelli(family, lam, mu=Partition(), n=1, m=0, block_method=Method.DUAL_JT):
-    """(p+q) x (p+q) block determinant times (-1)^q over hook, single-row and
-    single-column characters, taken from the Frobenius coordinates.
-
-    Block entries default to the dual determinant route for speed;
-    block_method=Method.TABLEAUX recomputes them by enumeration instead.
+def giambelli(family, lam, mu=Partition(), n=1, m=0):
+    """(p+q) x (p+q) block determinant times (-1)^q, from the Frobenius
+    coordinates (a|b) of lambda and (g|d) of mu.  Its blocks are the hook
+    characters (a_i|b_j) by dual-JT, the single rows (a_i)/(g_j) by JT
+    (h_{a-g}), the single columns (1^{b_j+1})/(1^{d_i+1}) by dual-JT
+    (e_{b-d} plus the family twist) and a q x q zero block.
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
-    if block_method not in (Method.DUAL_JT, Method.TABLEAUX):
-        raise ValueError("block entries come from dual-jt or tableaux")
-    by_tab = block_method is Method.TABLEAUX
-    fl = lam.to_frobenius()
-    fm = mu.to_frobenius()
-    p, q = len(fl.arms), len(fm.arms)
-    zero = LaurentPoly.zero(n)
-    size = p + q
-    if size == 0:
-        return LaurentPoly.one(n)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i < p and j < p:
-                entry = _block_entry(
-                    family,
-                    _hook_partition(fl.arms[i], fl.legs[j]),
-                    Partition(),
-                    n,
-                    m,
-                    by_tab,
-                )
-            elif i < p:
-                g = fm.arms[j - p]
-                if family is CharacterFamily.GL:
-                    entry = complete_plain(fl.arms[i] - g, n)
-                else:
-                    entry = _block_entry(
-                        family,
-                        Partition((fl.arms[i],)) if fl.arms[i] else Partition(),
-                        Partition((g,)) if g else Partition(),
-                        n,
-                        m,
-                        by_tab,
-                    )
-            elif j < p:
-                d = fm.legs[i - p]
-                if family is CharacterFamily.GL:
-                    entry = elementary_plain(fl.legs[j] - d, n)
-                else:
-                    entry = _block_entry(
-                        family,
-                        Partition((1,) * (fl.legs[j] + 1)),
-                        Partition((1,) * (d + 1)),
-                        n,
-                        m,
-                        by_tab,
-                    )
-            else:
-                entry = zero
-            row.append(entry)
-        rows.append(row)
+    fl, fm = lam.to_frobenius(), mu.to_frobenius()
+    rows = [
+        [_dual_jt_cached(family, (a + 1,) + (1,) * b, (), n, m, a + 1) for b in fl.legs]
+        + [_skew_block(jacobi_trudi, family, (a,), (g,), n, m) for g in fm.arms]
+        for a in fl.arms
+    ]
+    rows += [
+        [
+            _skew_block(dual_jacobi_trudi, family, (1,) * (b + 1), (1,) * (d + 1), n, m)
+            for b in fl.legs
+        ]
+        + [LaurentPoly.zero(n)] * len(fm.arms)
+        for d in fm.legs
+    ]
     det = PolyMatrix(rows, n).determinant()
-    return det.scaled(-1 if q % 2 else 1)
+    return det.scaled(-1 if len(fm.arms) % 2 else 1)
 
 
 def lgv_character(family, lam, mu=Partition(), n=1, m=0, N=None):
@@ -209,8 +162,11 @@ def lgv_character(family, lam, mu=Partition(), n=1, m=0, N=None):
 
 
 def character(family, lam, mu=Partition(), n=1, m=0, method=Method.DUAL_JT, N=None):
-    """Compute a skew character by the requested route."""
+    """Compute a skew character by the requested route.  N sizes the dual-JT
+    and JT matrices and the LGV configuration; the other routes take none."""
     lam, mu = _as_partition(lam), _as_partition(mu)
+    if N is not None and method in (Method.TABLEAUX, Method.GIAMBELLI):
+        raise ValueError("method %s takes no N" % method.value)
     if method is Method.TABLEAUX:
         return tb.character_by_tableaux(family, SkewShape(lam, mu), n, m)
     if method is Method.DUAL_JT:

@@ -115,8 +115,7 @@ class PathModel:
         return None
 
     def step_ok(self, x, y, kind):
-        """Geometric legality of a step from (x, y); the no-descent-after-
-        ascent discipline is enforced by _moves."""
+        """Geometric legality of a step from (x, y)."""
         nx, ny = x + kind.dx, y + kind.dy
         if not (self.vertex_ok(x, y) and self.vertex_ok(nx, ny)):
             return False
@@ -216,13 +215,11 @@ class Path:
 
     def validate(self, model):
         """Raise InvalidFamilyError unless every step is a legal move of model."""
-        state = (*self.start, model.layout is Layout.COLUMNWISE, False)
-        end = self.end
+        x, y = self.start
         for s in self.steps:
-            nxt = next((mv[1:] for mv in _moves(model, *state, end, ()) if mv[0] is s), None)
-            if nxt is None:
-                raise InvalidFamilyError("illegal step %s at %r" % (s.name, state[:2]))
-            state = nxt
+            if not model.step_ok(x, y, s):
+                raise InvalidFamilyError("illegal step %s at %r" % (s.name, (x, y)))
+            x, y = x + s.dx, y + s.dy
 
 
 class PathFamily:
@@ -755,35 +752,32 @@ def _hook_paths_to_tableau(pf):
 # generating functions and enumeration
 
 
-def _moves(model, x, y, up_phase, after_down, to, blocked):
-    """The legal next steps from (x, y) of a path heading for to, as
-    (kind, nx, ny, up_phase, after_down) with the state after the step.
+def _moves(model, x, y, to, blocked):
+    """The next steps from (x, y) of a path heading for to, as (kind, nx, ny):
+    those model.step_ok allows, less any that overshoot to or land on a
+    blocked point.
 
-    This is the one step rule: model.step_ok, no descent once the path has
-    ascended (up_phase), no unit ascent straight after a descent (it would
-    revisit the point above), no step that overshoots to, and no step onto a
-    blocked point.  Columnwise paths start in the up phase.
+    step_ok alone fixes the order of a path's steps: it allows a descent
+    only at x <= 0, every ascent lands at x >= 1 and x never decreases, so
+    no path descends once it has ascended, nor ascends straight after a
+    descent.  For the same reason a path above to is dead once it can no
+    longer descend, that is in a columnwise model or at x > 0.
     """
     tx, ty = to
-    if up_phase and y > ty:
+    if y > ty and (x > 0 or model.layout is Layout.COLUMNWISE):
         return []
     out = []
     for kind in model.kinds:
-        if kind is DOWN and up_phase:
-            continue
-        if kind is UP and after_down:
-            continue
         nx, ny = x + kind.dx, y + kind.dy
         if nx > tx:
             continue
-        up = kind in UP_KINDS
-        if up and ny > ty:
+        if kind in UP_KINDS and ny > ty:
             continue
         if (nx, ny) in blocked:
             continue
         if not model.step_ok(x, y, kind):
             continue
-        out.append((kind, nx, ny, up_phase or up, kind is DOWN))
+        out.append((kind, nx, ny))
     return out
 
 
@@ -798,22 +792,22 @@ def _graded_gf(model, frm, to):
     arrived = {0: LaurentPoly.one(n)}
     memo = {}
 
-    def gf(x, y, up_phase, after_down):
+    def gf(x, y):
         if (x, y) == to:
             return arrived
-        key = (x, y, up_phase, after_down)
+        key = (x, y)
         got = memo.get(key)
         if got is not None:
             return got
         acc = {}
-        for kind, nx, ny, up, down in _moves(model, x, y, up_phase, after_down, to, ()):
+        for kind, nx, ny in _moves(model, x, y, to, ()):
             shift = 1 if kind is DIAG or kind is OHORIZ else 0
             exps = None
             if kind is RIGHT:
                 v, e = model.right_exp(x, y)
                 exps = [0] * n
                 exps[v] = e
-            for k, poly in gf(nx, ny, up, down).items():
+            for k, poly in gf(nx, ny).items():
                 if exps is not None:
                     poly = poly.mul_monomial(exps)
                 k += shift
@@ -822,7 +816,7 @@ def _graded_gf(model, frm, to):
         memo[key] = acc
         return acc
 
-    return gf(frm[0], frm[1], model.layout is Layout.COLUMNWISE, False)
+    return gf(*frm)
 
 
 def path_gf(model, frm, to):
@@ -851,16 +845,16 @@ def enumerate_paths(model, frm, to, blocked=frozenset()):
         return
     steps = []
 
-    def rec(x, y, up_phase, after_down):
+    def rec(x, y):
         if (x, y) == to:
             yield Path(frm, steps)
             return
-        for kind, nx, ny, up, down in _moves(model, x, y, up_phase, after_down, to, blocked):
+        for kind, nx, ny in _moves(model, x, y, to, blocked):
             steps.append(kind)
-            yield from rec(nx, ny, up, down)
+            yield from rec(nx, ny)
             steps.pop()
 
-    yield from rec(frm[0], frm[1], model.layout is Layout.COLUMNWISE, False)
+    yield from rec(*frm)
 
 
 def enumerate_lgv_families(model, starts, ends):

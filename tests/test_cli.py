@@ -5,7 +5,7 @@ import pytest
 
 from skewchar import LaurentPoly, Partition, character, CharacterFamily, Method
 from skewchar import cli
-from skewchar.cli import ContainmentError, ParseError, main, parse_shape
+from skewchar.cli import SUITES, ContainmentError, ParseError, main, parse_shape
 
 
 def test_parse_shape_examples():
@@ -84,6 +84,30 @@ def test_usage_errors_exit_2(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert want in captured.err
+
+
+def test_verify_rejects_negative_n_and_m(capsys):
+    for suite in SUITES + ("all",):
+        for flag, want in (
+            ("--n=-1..0", "n >= 0 fails: -1 < 0"),
+            ("--m=-1..1", "m >= 0 fails: -1 < 0"),
+        ):
+            assert main(["verify", "--suite", suite, "--max-cells", "2", flag]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert want in captured.err
+
+
+def test_N_only_for_routes_it_sizes(capsys):
+    base = ["compute", "--family", "sp", "--shape", "3", "--n", "1"]
+    for method in ("tableaux", "giambelli"):
+        assert main(base + ["--method", method, "--N", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "method %s takes no N" % method in captured.err
+    for method in ("dual-jt", "jt", "lgv"):
+        assert main(base + ["--method", method, "--N", "3"]) == 0
+        assert capsys.readouterr().out == "x1^3 + x1 + x1^-1 + x1^-3\n"
 
 
 def test_io_error_exits_2_and_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -8,13 +8,14 @@ from skewchar import (
     SkewShape,
     character,
     character_by_tableaux,
+    complete_pm,
     dual_jacobi_trudi,
     elementary_pm,
     giambelli,
     jacobi_trudi,
 )
 from skewchar.core import partitions_upto
-from skewchar.formulas import BLOCK_CACHE_SIZE, _block_entry, _dual_jt_cached
+from skewchar.formulas import BLOCK_CACHE_SIZE, _dual_jt_cached
 
 F, M = CharacterFamily, Method
 
@@ -54,15 +55,6 @@ def test_giambelli_examples():
         F.GL, SkewShape(Partition((4, 4, 4, 2, 1)), Partition((3, 1))), 6
     )
     assert gotg == wantg
-
-
-def test_giambelli_block_test_mode():
-    # block entries recomputed by enumeration match the dual-determinant route
-    for fam in (F.SP, F.SO_ODD, F.O_EVEN):
-        for lam, mu, n, m in [((2, 2), (1,), 2, 1), ((3, 1), (), 2, 1)]:
-            fast = giambelli(fam, lam, mu, n, m)
-            slow = giambelli(fam, lam, mu, n, m, block_method=M.TABLEAUX)
-            assert fast == slow
 
 
 def test_block_cache_is_bounded():
@@ -136,22 +128,30 @@ def test_even_orthogonal_division_is_exact():
                 dual_jacobi_trudi(F.O_EVEN, lam, mu, n, m)  # raises on failure
 
 
-def test_sp_column_block_closed_form():
-    for n in (1, 2):
-        for m in (1, 2):
-            for beta in range(0, n + m):
-                for delta in range(0, m):
-                    got = _block_entry(
-                        F.SP,
-                        Partition((1,) * (beta + 1)),
-                        Partition((1,) * (delta + 1)),
-                        n,
-                        m,
-                    )
-                    want = elementary_pm(beta - delta, n) - elementary_pm(
-                        beta + delta - 2 * m, n
-                    )
-                    assert got == want
+def test_row_and_column_blocks_closed_forms():
+    # Giambelli's single-row blocks (a)/(g) are 1 x 1 JT determinants and its
+    # single-column blocks (1^{b+1})/(1^{d+1}) 1 x 1 dual-JT determinants
+    for fam, sign, off in ((F.SP, -1, 0), (F.SO_ODD, 1, 1), (F.O_EVEN, 1, 2)):
+        for n in (0, 1, 2):
+            for m in (1, 2):
+                for a in range(5):
+                    for g in range(a + 1):
+                        lam = Partition((a,) if a else ())
+                        mu = Partition((g,) if g else ())
+                        got = jacobi_trudi(fam, lam, mu, n, m)
+                        assert got == complete_pm(a - g, n), (fam, n, m, a, g)
+                        assert got == character_by_tableaux(fam, SkewShape(lam, mu), n, m)
+                for d in range(m):
+                    for b in range(d, n + m):
+                        lam, mu = Partition((1,) * (b + 1)), Partition((1,) * (d + 1))
+                        got = dual_jacobi_trudi(fam, lam, mu, n, m)
+                        if fam is F.O_EVEN and d == m - 1:
+                            want = elementary_pm(b - d, n)
+                        else:
+                            twist = elementary_pm(b + d - 2 * m + off, n)
+                            want = elementary_pm(b - d, n) + twist.scaled(sign)
+                        assert got == want, (fam, n, m, b, d)
+                        assert got == character_by_tableaux(fam, SkewShape(lam, mu), n, m)
 
 
 def test_four_way_small_sweep():
