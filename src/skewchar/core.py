@@ -6,7 +6,10 @@ function, so everything here is safe to share between threads.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from math import comb, factorial
+from operator import add, mul
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -198,25 +201,36 @@ class LaurentPoly:
 
     terms maps exponent tuples (length n_vars, entries may be negative) to
     nonzero ints.  Instances are treated as immutable.
+
+    invariant is a promise that the polynomial is invariant under the
+    hyperoctahedral group B_n (permutations of the variables and x_i ->
+    x_i^-1).  It is made only where it is proven: by the constants and by
+    the e/h tables of the doubled alphabet (symfunc).  Sums, negations,
+    scalings, exact divisions and products of promised values keep it, and
+    a product of two promised values is computed on dominant weights only
+    where that pays (see __mul__).  Equality, hashing and every output
+    ignore it.
     """
 
-    __slots__ = ("n_vars", "terms")
+    __slots__ = ("n_vars", "terms", "invariant", "_envelope")
 
-    def __init__(self, n_vars, terms=None):
+    def __init__(self, n_vars, terms=None, invariant=False):
         self.n_vars = n_vars
         self.terms = dict(terms) if terms else {}
+        self.invariant = invariant
+        self._envelope = None  # of an invariant operand, see _envelope
 
     @classmethod
     def zero(cls, n_vars):
-        return cls(n_vars)
+        return cls(n_vars, invariant=True)
 
     @classmethod
     def one(cls, n_vars):
-        return cls(n_vars, {(0,) * n_vars: 1})
+        return cls(n_vars, {(0,) * n_vars: 1}, invariant=True)
 
     @classmethod
     def constant(cls, n_vars, c):
-        return cls(n_vars, {(0,) * n_vars: int(c)} if c else None)
+        return cls(n_vars, {(0,) * n_vars: int(c)} if c else None, invariant=True)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -250,24 +264,29 @@ class LaurentPoly:
         return hash((self.n_vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        """Copy the operand with more terms and add the other one into it."""
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        terms = dict(a.terms)
+        for e, c in b.terms.items():
             s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return LaurentPoly(self.n_vars, terms)
+        return _owning(self.n_vars, terms, self.invariant and other.invariant)
 
     def __neg__(self):
-        return LaurentPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return _owning(self.n_vars, {e: -c for e, c in self.terms.items()}, self.invariant)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Product by one int add per term pair on packed exponents.
+        """Product.  Two operands that carry the invariance promise are
+        multiplied on dominant weights only (_invariant_mul) where that pays
+        (_dominant_pays); any other pair by one int add per term pair on
+        packed exponents, and the result keeps the promise if both had it.
 
         Each exponent tuple is packed into one int, digit i holding
         e_i + 2^(w-2) in bits [i*w, (i+1)*w).  The width w exceeds the bit
@@ -283,6 +302,8 @@ class LaurentPoly:
             a, b = other, self
         else:
             a, b = self, other
+        if a.invariant and b.invariant and self.n_vars and a.terms and _dominant_pays(a, b):
+            return _invariant_mul(self.n_vars, a, b)
         big = max((abs(x) for t in (a.terms, b.terms) for e in t for x in e), default=0)
         w = big.bit_length() + 2
         shifts = range(0, self.n_vars * w, w)
@@ -297,9 +318,10 @@ class LaurentPoly:
                 acc[k] = get(k, 0) + ca * cb
         mask = (1 << w) - 1
         half = 1 << (w - 1)
-        return LaurentPoly(
+        return _owning(
             self.n_vars,
             {tuple(((k >> s) & mask) - half for s in shifts): c for k, c in acc.items() if c},
+            a.invariant and b.invariant,
         )
 
     __rmul__ = __mul__
@@ -308,7 +330,7 @@ class LaurentPoly:
         c = int(c)
         if c == 0:
             return LaurentPoly.zero(self.n_vars)
-        return LaurentPoly(self.n_vars, {e: k * c for e, k in self.terms.items()})
+        return _owning(self.n_vars, {e: k * c for e, k in self.terms.items()}, self.invariant)
 
     def mul_monomial(self, exps, coeff=1):
         if coeff == 0:
@@ -335,7 +357,7 @@ class LaurentPoly:
                     "coefficient %d not divisible by %d" % (c, d)
                 )
             terms[e] = q
-        return LaurentPoly(self.n_vars, terms)
+        return _owning(self.n_vars, terms, self.invariant)
 
     def eval_at(self, point):
         """Exact rational value at a point of nonzero rationals."""
@@ -410,6 +432,125 @@ class LaurentPoly:
             if c:
                 out[e] = out.get(e, 0) + c
         return cls(n_vars, {e: c for e, c in out.items() if c})
+
+
+def _owning(n_vars, terms, invariant):
+    """A LaurentPoly that takes over terms, a fresh dict, without copying it."""
+    poly = object.__new__(LaurentPoly)
+    poly.n_vars = n_vars
+    poly.terms = terms
+    poly.invariant = invariant
+    poly._envelope = None
+    return poly
+
+
+def _envelope(poly):
+    """The envelope (F, parities) of a nonzero B_n-invariant polynomial,
+    computed once: F[k-1] is the largest sum of the k largest |exponents| of
+    a term, and parities holds the parity of every term's exponent sum.  The
+    dominant representative of each term's orbit is a term too, so F[k-1]
+    is the largest e_1 + ... + e_k over all terms."""
+    env = poly._envelope
+    if env is None:
+        cols = zip(*poly.terms)
+        run = next(cols)
+        bound = [max(run)]
+        for col in cols:
+            run = list(map(add, run, col))
+            bound.append(max(run))
+        env = poly._envelope = tuple(bound), frozenset(map((1).__and__, run))
+    return env
+
+
+# dominant-candidate lists and orbits kept at once; the 4x4-box sweep of
+# acceptance criterion 1 uses about 400 lists and 250 orbits
+KERNEL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _candidates(bound, parities):
+    """The dominant weights nu_1 >= ... >= nu_n >= 0 whose k-th partial sum
+    is at most bound[k-1] and whose |nu| mod 2 is in parities, as
+    (weights, bias, nus, keys): digit i of a key has weight 2^(i*w), with
+    w = bit_length(2 * bound[0]) + 1, and holds nu_i + 2^(w-1)."""
+    n = len(bound)
+    w = (2 * bound[0]).bit_length() + 1
+    weights = tuple(1 << s for s in range(0, n * w, w))
+    bias = sum(weights) << (w - 1)
+    nus = []
+
+    def rec(prefix, total, cap):
+        k = len(prefix)
+        if k == n:
+            if total & 1 in parities:
+                nus.append(prefix)
+            return
+        for x in range(min(cap, bound[k] - total), -1, -1):
+            rec(prefix + (x,), total + x, x)
+
+    rec((), 0, bound[0])
+    return weights, bias, tuple(nus), tuple(sum(map(mul, nu, weights)) + bias for nu in nus)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _orbit(nu):
+    """The B_n orbit of a dominant weight: its distinct signed permutations."""
+    signed = product(*(((x, -x) if x else (0,)) for x in nu))
+    return tuple({p for s in signed for p in permutations(s)})
+
+
+def _product_envelope(small, large):
+    """Bounds on the product's envelope, the candidates' bound and parities:
+    the sum of the k largest |exponents| is a norm, so at a product term it
+    is at most the same sum for small plus that for large."""
+    bs, ps = _envelope(small)
+    bl, pl = _envelope(large)
+    return tuple(map(add, bs, bl)), frozenset((p + q) & 1 for p in ps for q in pl)
+
+
+def _dominant_pays(small, large):
+    """Whether _invariant_mul costs less than the term-pair loop.
+
+    A candidate costs one pass over small in C, about half what a term of
+    large costs in the term-pair loop.  The candidates number at most
+    C(F_1 + n, n), the weakly decreasing tuples below the bound F_1 on
+    nu_1, and at most C(F_n + n(n+1)/2, n) / n!, since nu + (n-1, ..., 0)
+    is strictly decreasing with sum at most F_n + n(n-1)/2.  Sparse operands
+    with large exponents have far more candidates than terms.
+    """
+    n = small.n_vars
+    bound = _product_envelope(small, large)[0]
+    most = min(comb(bound[0] + n, n), comb(bound[-1] + n * (n + 1) // 2, n) // factorial(n))
+    return most <= 2 * len(large.terms)
+
+
+def _invariant_mul(n, small, large):
+    """Product of two nonzero B_n-invariant polynomials, small the one with
+    fewer terms.
+
+    The product is invariant too, so only its coefficients at dominant
+    weights nu are computed, c_nu = sum over alpha in small of
+    small[alpha] * large[nu - alpha], and each is written to the orbit of
+    nu.  The candidate nu obey the bounds of _product_envelope.  Exponents
+    are packed into ints with the candidates' digits (see _candidates):
+    large's and the candidates' with digits e_i + 2^(w-1), small's
+    unbiased, so a candidate's key minus one of small is the key of the
+    difference.  Every digit of such a difference lies within 2^(w-1) of
+    the bias, because 2^(w-1) exceeds twice the largest |nu_i|, itself at
+    least |nu_i| + |alpha_i|, so no lookup aliases a different weight.
+    """
+    weights, bias, nus, keys = _candidates(*_product_envelope(small, large))
+    get = dict(zip([sum(map(mul, e, weights)) + bias for e in large.terms], large.terms.values())).get
+    neg_keys = [-sum(map(mul, e, weights)) for e in small.terms]
+    coeffs = list(small.terms.values())
+    zeros = [0] * len(coeffs)
+    terms = {}
+    for nu, key in zip(nus, keys):
+        c = sum(map(mul, coeffs, map(get, map(key.__add__, neg_keys), zeros)))
+        if c:
+            for e in _orbit(nu):
+                terms[e] = c
+    return _owning(n, terms, True)
 
 
 class PolyMatrix:

@@ -356,9 +356,7 @@ def model_and_endpoints(family, shape, n, m, N=None, layout=Layout.COLUMNWISE):
         if N is None:
             N = shape.outer.first()
         if N < shape.outer.first():
-            raise ValueError(
-                "N >= lambda_1 fails: %d < %d" % (N, shape.outer.first())
-            )
+            raise ValueError("lambda_1 <= N fails: %d > %d" % (shape.outer.first(), N))
         base = 2 * shape.inner.length() if family is CharacterFamily.GL else 2 * m
         model = PathModel(family, layout, n, m, base)
         starts, ends = columnwise_endpoints(family, shape, n, m, N)

@@ -47,7 +47,14 @@ def plain_letters(n):
     return letters
 
 
-@lru_cache(maxsize=None)
+# e/h tables kept at once.  A benchmark warm-up builds at most 84 of them
+# (n <= 3, r <= 12, both alphabets) and a cold complete_pm(1200, 1) builds
+# 1,201, so both fit; the h tables recurse on r - 1, and _complete's steps
+# keep that recursion within _H_STEP levels even after an eviction.
+EH_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=EH_CACHE_SIZE)
 def _e_table(n, doubled):
     """e_0..e_N as a tuple, N = number of letters."""
     letters = doubled_letters(n) if doubled else plain_letters(n)
@@ -56,10 +63,12 @@ def _e_table(n, doubled):
         # process letters one at a time: e_k += e_{k-1} * letter
         for k in range(len(letters), 0, -1):
             table[k] = table[k] + table[k - 1].mul_monomial(ell)
+    if doubled:  # e_k of x1, x1^-1, ..., xn, xn^-1 is B_n-invariant
+        table = [LaurentPoly(n, t.terms, invariant=True) for t in table]
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EH_CACHE_SIZE)
 def _h_table(n, r, doubled):
     """h_r of each prefix x_1..x_j of the alphabet, j = 0..N, as a tuple; the
     last entry is h_r of the whole alphabet.  Entry r is built from entry
@@ -72,6 +81,8 @@ def _h_table(n, r, doubled):
     for j, ell in enumerate(letters, start=1):
         # h_r(x_1..x_j) = h_r(x_1..x_{j-1}) + x_j * h_{r-1}(x_1..x_j)
         table.append(table[-1] + prev[j].mul_monomial(ell))
+    if doubled:  # only the whole doubled alphabet is B_n-invariant
+        table[-1] = LaurentPoly(n, table[-1].terms, invariant=True)
     return tuple(table)
 
 

@@ -110,6 +110,15 @@ def test_N_only_for_routes_it_sizes(capsys):
         assert capsys.readouterr().out == "x1^3 + x1 + x1^-1 + x1^-3\n"
 
 
+def test_N_check_worded_alike_by_every_route(capsys):
+    base = ["compute", "--family", "sp", "--shape", "3", "--n", "1", "--N", "1"]
+    for method in ("lgv", "dual-jt"):
+        assert main(base + ["--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambda_1 <= N fails: 3 > 1" in captured.err
+
+
 def test_io_error_exits_2_and_unexpected_error_exits_3(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "missing" / "poly.txt")
     rc = main(["compute", "--family", "sp", "--shape", "1", "--n", "1", "--out", out])

@@ -70,6 +70,24 @@ def test_block_cache_is_bounded():
         _dual_jt_cached.cache_clear()
 
 
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import skewchar
+
+    cached = {}
+    for info in pkgutil.iter_modules(skewchar.__path__):
+        module = importlib.import_module("skewchar." + info.name)
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)):
+                cached["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
+    assert {"symfunc._e_table", "symfunc._h_table", "formulas._dual_jt_cached",
+            "core._candidates", "core._orbit"} <= set(cached)
+    unbounded = [name for name, maxsize in cached.items() if maxsize is None]
+    assert not unbounded, unbounded
+
+
 def test_lambda_equals_mu_is_one_by_every_method():
     lam = Partition((2, 1))
     for fam in (F.GL, F.SP, F.SO_ODD, F.O_EVEN):
