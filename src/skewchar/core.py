@@ -202,9 +202,10 @@ class LaurentPoly:
     terms maps exponent tuples (length n_vars, entries may be negative) to
     nonzero ints.  Instances are treated as immutable.
 
-    invariant is a promise that the polynomial is invariant under the
-    hyperoctahedral group B_n (permutations of the variables and x_i ->
-    x_i^-1).  It is made only where it is proven: by the constants and by
+    The internal flag _invariant is a promise that the polynomial is
+    invariant under the hyperoctahedral group B_n (permutations of the
+    variables and x_i -> x_i^-1).  No public constructor takes it: it is
+    set through _owning only where it is proven, by the constants and by
     the e/h tables of the doubled alphabet (symfunc).  Sums, negations,
     scalings, exact divisions and products of promised values keep it, and
     a product of two promised values is computed on dominant weights only
@@ -212,25 +213,25 @@ class LaurentPoly:
     ignore it.
     """
 
-    __slots__ = ("n_vars", "terms", "invariant", "_envelope")
+    __slots__ = ("n_vars", "terms", "_invariant", "_envelope")
 
-    def __init__(self, n_vars, terms=None, invariant=False):
+    def __init__(self, n_vars, terms=None):
         self.n_vars = n_vars
         self.terms = dict(terms) if terms else {}
-        self.invariant = invariant
+        self._invariant = False
         self._envelope = None  # of an invariant operand, see _envelope
 
     @classmethod
     def zero(cls, n_vars):
-        return cls(n_vars, invariant=True)
+        return _owning(n_vars, {}, True)
 
     @classmethod
     def one(cls, n_vars):
-        return cls(n_vars, {(0,) * n_vars: 1}, invariant=True)
+        return _owning(n_vars, {(0,) * n_vars: 1}, True)
 
     @classmethod
     def constant(cls, n_vars, c):
-        return cls(n_vars, {(0,) * n_vars: int(c)} if c else None, invariant=True)
+        return _owning(n_vars, {(0,) * n_vars: int(c)} if c else {}, True)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -274,18 +275,18 @@ class LaurentPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return _owning(self.n_vars, terms, self.invariant and other.invariant)
+        return _owning(self.n_vars, terms, self._invariant and other._invariant)
 
     def __neg__(self):
-        return _owning(self.n_vars, {e: -c for e, c in self.terms.items()}, self.invariant)
+        return _owning(self.n_vars, {e: -c for e, c in self.terms.items()}, self._invariant)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         """Product.  Two operands that carry the invariance promise are
-        multiplied on dominant weights only (_invariant_mul) where that pays
-        (_dominant_pays); any other pair by one int add per term pair on
+        multiplied on dominant weights only where that pays
+        (_invariant_mul); any other pair by one int add per term pair on
         packed exponents, and the result keeps the promise if both had it.
 
         Each exponent tuple is packed into one int, digit i holding
@@ -302,8 +303,11 @@ class LaurentPoly:
             a, b = other, self
         else:
             a, b = self, other
-        if a.invariant and b.invariant and self.n_vars and a.terms and _dominant_pays(a, b):
-            return _invariant_mul(self.n_vars, a, b)
+        invariant = a._invariant and b._invariant
+        if invariant and self.n_vars and a.terms:
+            product = _invariant_mul(self.n_vars, a, b)
+            if product is not None:
+                return product
         big = max((abs(x) for t in (a.terms, b.terms) for e in t for x in e), default=0)
         w = big.bit_length() + 2
         shifts = range(0, self.n_vars * w, w)
@@ -321,7 +325,7 @@ class LaurentPoly:
         return _owning(
             self.n_vars,
             {tuple(((k >> s) & mask) - half for s in shifts): c for k, c in acc.items() if c},
-            a.invariant and b.invariant,
+            invariant,
         )
 
     __rmul__ = __mul__
@@ -330,7 +334,7 @@ class LaurentPoly:
         c = int(c)
         if c == 0:
             return LaurentPoly.zero(self.n_vars)
-        return _owning(self.n_vars, {e: k * c for e, k in self.terms.items()}, self.invariant)
+        return _owning(self.n_vars, {e: k * c for e, k in self.terms.items()}, self._invariant)
 
     def mul_monomial(self, exps, coeff=1):
         if coeff == 0:
@@ -357,7 +361,7 @@ class LaurentPoly:
                     "coefficient %d not divisible by %d" % (c, d)
                 )
             terms[e] = q
-        return _owning(self.n_vars, terms, self.invariant)
+        return _owning(self.n_vars, terms, self._invariant)
 
     def eval_at(self, point):
         """Exact rational value at a point of nonzero rationals."""
@@ -439,7 +443,7 @@ def _owning(n_vars, terms, invariant):
     poly = object.__new__(LaurentPoly)
     poly.n_vars = n_vars
     poly.terms = terms
-    poly.invariant = invariant
+    poly._invariant = invariant
     poly._envelope = None
     return poly
 
@@ -508,38 +512,40 @@ def _product_envelope(small, large):
     return tuple(map(add, bs, bl)), frozenset((p + q) & 1 for p in ps for q in pl)
 
 
-def _dominant_pays(small, large):
-    """Whether _invariant_mul costs less than the term-pair loop.
+def _invariant_mul(n, small, large):
+    """Product of two nonzero B_n-invariant polynomials, small the one with
+    fewer terms, on dominant weights only (_dominant_mul), or None where
+    the term-pair loop costs less.
 
     A candidate costs one pass over small in C, about half what a term of
     large costs in the term-pair loop.  The candidates number at most
     C(F_1 + n, n), the weakly decreasing tuples below the bound F_1 on
     nu_1, and at most C(F_n + n(n+1)/2, n) / n!, since nu + (n-1, ..., 0)
-    is strictly decreasing with sum at most F_n + n(n-1)/2.  Sparse operands
-    with large exponents have far more candidates than terms.
+    is strictly decreasing with sum at most F_n + n(n-1)/2.  Where that
+    count exceeds twice the terms of large (sparse operands with large
+    exponents) the product is left to the term-pair loop.
     """
-    n = small.n_vars
-    bound = _product_envelope(small, large)[0]
+    bound, parities = _product_envelope(small, large)
     most = min(comb(bound[0] + n, n), comb(bound[-1] + n * (n + 1) // 2, n) // factorial(n))
-    return most <= 2 * len(large.terms)
+    if most > 2 * len(large.terms):
+        return None
+    return _dominant_mul(n, small, large, _candidates(bound, parities))
 
 
-def _invariant_mul(n, small, large):
-    """Product of two nonzero B_n-invariant polynomials, small the one with
-    fewer terms.
+def _dominant_mul(n, small, large, candidates):
+    """The product of B_n-invariant small and large from its coefficients
+    at the candidate dominant weights nu (see _candidates), c_nu = sum over
+    alpha in small of small[alpha] * large[nu - alpha], each written to the
+    orbit of nu.
 
-    The product is invariant too, so only its coefficients at dominant
-    weights nu are computed, c_nu = sum over alpha in small of
-    small[alpha] * large[nu - alpha], and each is written to the orbit of
-    nu.  The candidate nu obey the bounds of _product_envelope.  Exponents
-    are packed into ints with the candidates' digits (see _candidates):
-    large's and the candidates' with digits e_i + 2^(w-1), small's
-    unbiased, so a candidate's key minus one of small is the key of the
-    difference.  Every digit of such a difference lies within 2^(w-1) of
-    the bias, because 2^(w-1) exceeds twice the largest |nu_i|, itself at
-    least |nu_i| + |alpha_i|, so no lookup aliases a different weight.
+    Exponents are packed into ints with the candidates' digits: large's and
+    the candidates' with digits e_i + 2^(w-1), small's unbiased, so a
+    candidate's key minus one of small is the key of the difference.  Every
+    digit of such a difference lies within 2^(w-1) of the bias, because
+    2^(w-1) exceeds twice the largest |nu_i|, itself at least
+    |nu_i| + |alpha_i|, so no lookup aliases a different weight.
     """
-    weights, bias, nus, keys = _candidates(*_product_envelope(small, large))
+    weights, bias, nus, keys = candidates
     get = dict(zip([sum(map(mul, e, weights)) + bias for e in large.terms], large.terms.values())).get
     neg_keys = [-sum(map(mul, e, weights)) for e in small.terms]
     coeffs = list(small.terms.values())

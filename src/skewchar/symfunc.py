@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import LaurentPoly, Partition, PolyMatrix
+from .core import LaurentPoly, Partition, PolyMatrix, _owning
 
 
 class CharacterFamily(Enum):
@@ -64,7 +64,7 @@ def _e_table(n, doubled):
         for k in range(len(letters), 0, -1):
             table[k] = table[k] + table[k - 1].mul_monomial(ell)
     if doubled:  # e_k of x1, x1^-1, ..., xn, xn^-1 is B_n-invariant
-        table = [LaurentPoly(n, t.terms, invariant=True) for t in table]
+        table = [_owning(n, t.terms, True) for t in table]
     return tuple(table)
 
 
@@ -82,7 +82,7 @@ def _h_table(n, r, doubled):
         # h_r(x_1..x_j) = h_r(x_1..x_{j-1}) + x_j * h_{r-1}(x_1..x_j)
         table.append(table[-1] + prev[j].mul_monomial(ell))
     if doubled:  # only the whole doubled alphabet is B_n-invariant
-        table[-1] = LaurentPoly(n, table[-1].terms, invariant=True)
+        table[-1] = _owning(n, table[-1].terms, True)
     return tuple(table)
 
 

@@ -9,6 +9,7 @@ tuple-loop reference of test_core.
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from skewchar import (
@@ -61,7 +62,7 @@ def symmetrised(n, seeds):
     for e, c in seeds:
         for g in signed_permutations(e):
             terms[g] = terms.get(g, 0) + c
-    return LaurentPoly(n, {g: c for g, c in terms.items() if c}, invariant=True)
+    return core._owning(n, {g: c for g, c in terms.items() if c}, True)
 
 
 def untagged(poly):
@@ -106,11 +107,11 @@ def invariant_pairs(draw, spans=dict.fromkeys(range(5), SPANS)):
 def test_invariant_product_matches_references(pair):
     n, a, b = pair
     assume(len(a.terms) * len(b.terms) <= 20000)  # the tuple loop stays fast
-    assert a.invariant and b.invariant
+    assert a._invariant and b._invariant
     got = a * b
     assert got == untagged(a) * untagged(b) == tuple_loop_mul(a, b)
     assert b * a == got
-    assert got.invariant and is_invariant(got)
+    assert got._invariant and is_invariant(got)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -120,16 +121,46 @@ def test_dominant_kernel_matches_references(pair):
     n, a, b = pair
     assume(a.terms and b.terms)
     small, large = sorted((a, b), key=lambda p: len(p.terms))
-    got = core._invariant_mul(n, small, large)
+    got = core._dominant_mul(n, small, large, core._candidates(*core._product_envelope(small, large)))
     assert got == tuple_loop_mul(a, b)
-    assert got.invariant and is_invariant(got)
+    assert got._invariant and is_invariant(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(invariant_pairs(spans=dict.fromkeys(range(4), (1, 2, 64))), st.data())
+def test_public_operands_take_the_term_pair_loop(pair, data):
+    # a value built through the public API carries no promise, even where
+    # it is close to invariant, so its products never reach the kernel
+    n, a, _ = pair
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    terms = data.draw(st.dictionaries(exps, st.sampled_from(COEFFS), max_size=6))
+    for poly in (LaurentPoly(n, terms), untagged(a), untagged(a).bar()):
+        assert not poly._invariant
+        got = poly * a
+        assert got == a * poly == tuple_loop_mul(poly, a)
+        assert not got._invariant
+
+
+def test_public_constructors_make_no_promise():
+    with pytest.raises(TypeError):
+        LaurentPoly(1, {(1,): 1}, invariant=True)
+    x1 = LaurentPoly(1, {(1,): 1})
+    for poly in (
+        x1,
+        LaurentPoly.monomial((1,)),
+        LaurentPoly.var_power(1, 1, 1),
+        LaurentPoly.from_json_terms(1, x1.to_json_terms()),
+    ):
+        assert not poly._invariant
+        assert poly * LaurentPoly.one(1) == x1
+        assert poly * complete_pm(2, 1) == tuple_loop_mul(x1, complete_pm(2, 1))
 
 
 def test_kernel_edge_cases():
     one, zero = LaurentPoly.one(3), LaurentPoly.zero(3)
     e2 = elementary_pm(2, 3)
     assert e2 * one == e2 and one * e2 == e2
-    assert (e2 * zero).is_zero() and (e2 * zero).invariant
+    assert (e2 * zero).is_zero() and (e2 * zero)._invariant
     sq = elementary_pm(1, 3) * elementary_pm(1, 3)
     assert sq == tuple_loop_mul(elementary_pm(1, 3), elementary_pm(1, 3))
     assert (sq - sq).is_zero()
@@ -137,9 +168,11 @@ def test_kernel_edge_cases():
     assert ((complete_pm(1, 2) - complete_pm(1, 2)) * complete_pm(1, 2)).is_zero()
     # sparse operands with large exponents take the term-pair loop
     far = symmetrised(4, [((1200, 0, 0, 0), 1)])
-    assert not core._dominant_pays(far, far)
+    assert core._invariant_mul(4, far, far) is None
     assert far * far == tuple_loop_mul(far, far)
-    assert core._dominant_pays(complete_pm(6, 3), complete_pm(8, 3))
+    assert (far * far)._invariant
+    h6, h8 = complete_pm(6, 3), complete_pm(8, 3)
+    assert core._invariant_mul(3, h6, h8) == tuple_loop_mul(h6, h8)
 
 
 def test_orbit_and_candidates():
@@ -162,18 +195,18 @@ def test_promise_is_made_only_where_proven():
     for n in (1, 2, 3):
         for r in range(0, 9):
             for poly in (elementary_pm(r, n), complete_pm(r, n)):
-                assert poly.invariant and is_invariant(poly)
+                assert poly._invariant and is_invariant(poly)
         # the plain alphabet is only S_n-invariant
-        assert not elementary_plain(1, n).invariant
-        assert not complete_plain(2, n).invariant
-    assert not LaurentPoly.monomial((1, 0)).invariant
-    assert LaurentPoly.one(2).invariant and LaurentPoly.zero(2).invariant
+        assert not elementary_plain(1, n)._invariant
+        assert not complete_plain(2, n)._invariant
+    assert not LaurentPoly.monomial((1, 0))._invariant
+    assert LaurentPoly.one(2)._invariant and LaurentPoly.zero(2)._invariant
     p = complete_pm(2, 2)
     for kept in (p + p, -p, p - p, p.scaled(3), p.scaled(2).div_exact_int(2), p * p, p * 5):
-        assert kept.invariant
-    assert not (p + untagged(p)).invariant
-    assert not (p * untagged(p)).invariant
-    assert not p.mul_monomial((1, 0)).invariant
+        assert kept._invariant
+    assert not (p + untagged(p))._invariant
+    assert not (p * untagged(p))._invariant
+    assert not p.mul_monomial((1, 0))._invariant
 
 
 def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
@@ -191,7 +224,7 @@ def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
 
     def spying_mul(a, b):
         if isinstance(b, LaurentPoly):
-            seen_mul.append(a.invariant and b.invariant)
+            seen_mul.append(a._invariant and b._invariant)
         return mul(a, b)
 
     monkeypatch.setattr(core, "_owning", checked_owning)
@@ -209,7 +242,7 @@ def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
                                 continue
                             for route in (dual_jacobi_trudi, jacobi_trudi, giambelli):
                                 out = route(fam, lam, mu, n, m)
-                                assert out.invariant
+                                assert out._invariant
                                 assert is_invariant(out)
     finally:
         _dual_jt_cached.cache_clear()
