@@ -585,11 +585,6 @@ class PolyMatrix:
         """1-based access."""
         return self.rows[i - 1][j - 1]
 
-    def with_rows_swapped(self, i, j):
-        rows = [list(r) for r in self.rows]
-        rows[i], rows[j] = rows[j], rows[i]
-        return PolyMatrix(rows, self.n_vars)
-
     def determinant(self):
         """Exact determinant by Laplace expansion memoized over column subsets.
 
@@ -603,19 +598,21 @@ class PolyMatrix:
         zero = LaurentPoly.zero(self.n_vars)
         prev = {0: LaurentPoly.one(self.n_vars)}
         for k, row in enumerate(self.rows):  # expand along row k
+            # the entries by sign, +1 and -1; row 0 meets only sign +1
+            signed = (row, [-entry for entry in row] if k else row)
             level = {}
             for mask in sorted(sum(1 << j for j in cols) for cols in combinations(range(n), k + 1)):
                 acc = zero
-                sign = -1 if k & 1 else 1
+                odd = k & 1
                 m = mask
                 while m:
                     j = (m & -m).bit_length() - 1
-                    entry = row[j]
+                    entry = signed[odd][j]
                     if entry.terms:
                         sub = prev[mask ^ (1 << j)]
                         if sub.terms:
-                            acc = acc + (entry * sub if sign > 0 else -(entry * sub))
-                    sign = -sign
+                            acc = acc + entry * sub
+                    odd ^= 1
                     m &= m - 1
                 level[mask] = acc
             prev = level

@@ -106,14 +106,33 @@ def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     return PolyMatrix(rows, n).determinant()
 
 
-# Giambelli hook blocks kept at once; acceptance criterion 1 (the 4x4 box,
-# n <= 3, m <= 2) uses at most 693 distinct entries, so the whole sweep fits
+# Giambelli hook blocks kept at once, one per (family, a, b, n, m) by
+# either route (JT when b + 1 < a, dual-JT otherwise, see _dual_jt_cached);
+# acceptance criterion 1 (the 4x4 box, n <= 3, m <= 2) uses 312 distinct
+# hooks, so the whole sweep fits
 BLOCK_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _dual_jt_cached(family, lam_parts, mu_parts, n, m, N):
-    return dual_jacobi_trudi(family, Partition(lam_parts), Partition(mu_parts), n, m, N)
+def _dual_jt_cached(family, a, b, n, m):
+    """The Giambelli hook block (a|b), the character of (a+1, 1^b), by the
+    cheaper of the paper's two determinants for it: JT of size b+1 when
+    b + 1 < a, dual-JT of size a+1 otherwise.  Both expand all column
+    subsets of their matrix, so a wide hook by dual-JT pays for 2^(a+1)
+    masks where JT pays for 2^(b+1).  Timed over the 546 hooks of sp, so
+    and o with n <= 3, m <= 2, a <= 6, b <= 3 (best of 3 runs each, one
+    core of a 2-CPU x86 host), the sum is 4.95 s always by dual-JT, 1.25 s
+    always by JT, 0.89 s by this rule and 0.86 s by the best route for
+    each hook.
+
+    The name is older than the JT route and stays: perfbench clears this
+    cache by name before every op and reads its cache_info, so under a new
+    name the blocks would stay warm from one op to the next.
+    """
+    hook = Partition((a + 1,) + (1,) * b)
+    if b + 1 < a:
+        return jacobi_trudi(family, hook, Partition(), n, m, b + 1)
+    return dual_jacobi_trudi(family, hook, Partition(), n, m, a + 1)
 
 
 def _skew_block(route, family, outer, inner, n, m):
@@ -128,15 +147,16 @@ def _skew_block(route, family, outer, inner, n, m):
 def giambelli(family, lam, mu=Partition(), n=1, m=0):
     """(p+q) x (p+q) block determinant times (-1)^q, from the Frobenius
     coordinates (a|b) of lambda and (g|d) of mu.  Its blocks are the hook
-    characters (a_i|b_j) by dual-JT, the single rows (a_i)/(g_j) by JT
-    (h_{a-g}), the single columns (1^{b_j+1})/(1^{d_i+1}) by dual-JT
-    (e_{b-d} plus the family twist) and a q x q zero block.
+    characters (a_i|b_j), each by JT of size b_j+1 when b_j + 1 < a_i and
+    by dual-JT of size a_i+1 otherwise (_dual_jt_cached), the single rows
+    (a_i)/(g_j) by JT (h_{a-g}), the single columns (1^{b_j+1})/(1^{d_i+1})
+    by dual-JT (e_{b-d} plus the family twist) and a q x q zero block.
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     fl, fm = lam.to_frobenius(), mu.to_frobenius()
     rows = [
-        [_dual_jt_cached(family, (a + 1,) + (1,) * b, (), n, m, a + 1) for b in fl.legs]
+        [_dual_jt_cached(family, a, b, n, m) for b in fl.legs]
         + [_skew_block(jacobi_trudi, family, (a,), (g,), n, m) for g in fm.arms]
         for a in fl.arms
     ]

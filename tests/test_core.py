@@ -265,4 +265,5 @@ def test_determinant_vs_leibniz(rng):
             rows = [[random_poly(rng, 2, terms=2) for _ in range(dim)] for _ in range(dim)]
             m = PolyMatrix(rows)
             assert m.determinant() == leibniz(rows, 2)
-            assert m.with_rows_swapped(0, 1).determinant() == -m.determinant()
+            swapped = PolyMatrix([rows[1], rows[0]] + rows[2:])
+            assert swapped.determinant() == -m.determinant()

@@ -9,6 +9,7 @@ from skewchar import (
     character,
     character_by_tableaux,
     complete_pm,
+    core,
     dual_jacobi_trudi,
     elementary_pm,
     giambelli,
@@ -58,16 +59,54 @@ def test_giambelli_examples():
 
 
 def test_block_cache_is_bounded():
+    # keyed by (family, a, b, n, m): (0|0) is the one-cell hook
     _dual_jt_cached.cache_clear()
     try:
         for m in range(BLOCK_CACHE_SIZE + 50):
-            _dual_jt_cached(F.SP, (1,), (), 1, m, 1)
+            _dual_jt_cached(F.SP, 0, 0, 1, m)
         info = _dual_jt_cached.cache_info()
         assert info.maxsize == BLOCK_CACHE_SIZE
         assert info.currsize == BLOCK_CACHE_SIZE
-        assert _dual_jt_cached(F.SP, (1,), (), 1, 0, 1) == x(1) + x(1, -1)
+        assert _dual_jt_cached(F.SP, 0, 0, 1, 0) == x(1) + x(1, -1)
     finally:
         _dual_jt_cached.cache_clear()
+
+
+def test_wide_hook_block_takes_jt(monkeypatch):
+    # (7,1) is the single hook (6|1): JT of size 2, not dual-JT of size 7,
+    # which made 302 multiplies
+    calls = []
+    mul = core.LaurentPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(core.LaurentPoly, "__mul__", counting_mul)
+    _dual_jt_cached.cache_clear()
+    try:
+        got = giambelli(F.SP, (7, 1), (), 3, 0)
+    finally:
+        _dual_jt_cached.cache_clear()
+    assert len(calls) <= 10, len(calls)
+    assert got == jacobi_trudi(F.SP, (7, 1), (), 3, 0)
+
+
+def test_hook_routes_agree_across_the_rule():
+    # both of the paper's determinants for the hook (a|b) = (a+1, 1^b), on
+    # both sides of the rule b + 1 < a that picks between them, so the
+    # route Giambelli skips for a hook stays checked
+    for fam in (F.SP, F.SO_ODD, F.O_EVEN):
+        for n in (1, 2):
+            for m in range(3):
+                for b in range(min(4, n + m)):
+                    for a in range(7):
+                        hook = Partition((a + 1,) + (1,) * b)
+                        by_jt = jacobi_trudi(fam, hook, (), n, m, b + 1)
+                        by_dual = dual_jacobi_trudi(fam, hook, (), n, m, a + 1)
+                        assert by_jt == by_dual, (fam, n, m, a, b)
+                        want = character_by_tableaux(fam, SkewShape(hook, Partition()), n, m)
+                        assert by_jt == want, (fam, n, m, a, b)
 
 
 def test_every_cache_is_bounded():
