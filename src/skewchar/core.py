@@ -238,13 +238,6 @@ class LaurentPoly:
         exps = tuple(int(e) for e in exps)
         return cls(len(exps), {exps: int(coeff)} if coeff else None)
 
-    @classmethod
-    def var_power(cls, i, e, n_vars):
-        """x_i^e for 1-based i."""
-        exps = [0] * n_vars
-        exps[i - 1] = e
-        return cls.monomial(exps)
-
     def is_zero(self):
         return not self.terms
 
@@ -580,10 +573,6 @@ class PolyMatrix:
         self.dim = dim
         self.n_vars = n_vars
         self.rows = rows
-
-    def entry(self, i, j):
-        """1-based access."""
-        return self.rows[i - 1][j - 1]
 
     def determinant(self):
         """Exact determinant by Laplace expansion memoized over column subsets.

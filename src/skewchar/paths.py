@@ -295,7 +295,8 @@ class PathFamily:
 
 
 def _roles(pf):
-    """vertex -> (path index, in step kind or None, out step kind or None)."""
+    """vertex -> (path index, in step kind or None, out step kind or None),
+    and the occupied set: every vertex and every arc midpoint."""
     roles = {}
     for i, p in enumerate(pf.paths):
         pts = p.points()
@@ -303,7 +304,9 @@ def _roles(pf):
             inc = p.steps[k - 1] if k > 0 else None
             out = p.steps[k] if k < len(p.steps) else None
             roles[pt] = (i, inc, out)
-    return roles
+    full = set(roles)
+    full.update(pf.midpoint_set())
+    return roles, full
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,8 @@ def model_and_endpoints(family, shape, n, m, N=None, layout=Layout.COLUMNWISE):
         model = PathModel(family, layout, n, m, base)
         starts, ends = columnwise_endpoints(family, shape, n, m, N)
         return model, starts, ends
+    if N is not None:
+        raise ValueError("hookwise layout takes no N")
     model = PathModel(family, Layout.HOOKWISE, n, m)
     starts, ends = hookwise_endpoints(shape, n, m)
     return model, starts, ends
@@ -368,233 +373,140 @@ def model_and_endpoints(family, shape, n, m, N=None, layout=Layout.COLUMNWISE):
 
 # ---------------------------------------------------------------------------
 # tableau <-> path bijections
+#
+# Both layouts encode an entry as a non-vertical step at the entry's level
+# (PathModel.level): _entry_level and _step_entries are the rule and its
+# inverse, _encode and _decode walk one path with them.
 
 
 def _entry_level(family, entry):
-    """Level of the horizontal step encoding an entry.
+    """Level of the non-vertical step encoding an entry.
 
-    bar_i sits at level 2i-2 and plain_i at 2i-1; hats are read as bars in
-    the odd orthogonal family but as plain values in the even one, where the
-    bar slot belongs to the circ of the pair.
+    Schur's plain_i sits at level i-1.  Otherwise bar_i sits at level 2i-2
+    and plain_i at 2i-1; hats are read as bars in the odd orthogonal family
+    but as plain values in the even one, where the bar slot belongs to the
+    circ of the pair.
     """
-    if entry.deco == tb.BAR or entry.deco == tb.CIRC:
+    if family is CharacterFamily.GL:
+        return entry.value - 1
+    if (
+        entry.deco == tb.BAR
+        or entry.deco == tb.CIRC
+        or (entry.deco == tb.HAT and family is CharacterFamily.SO_ODD)
+    ):
         return 2 * entry.value - 2
-    if entry.deco == tb.PLAIN:
-        return 2 * entry.value - 1
-    if entry.deco == tb.HAT:
-        if family is CharacterFamily.SO_ODD:
-            return 2 * entry.value - 2
-        return 2 * entry.value - 1
-    raise ValueError("unexpected entry %r" % (entry,))
+    return 2 * entry.value - 1
 
 
-def tableau_to_paths(family, t, n, m=0, N=None, layout=Layout.COLUMNWISE):
-    """Weight-preserving encoding of a valid tableau as a path family."""
-    if layout is Layout.HOOKWISE:
-        return _tableau_to_hook_paths(family, t, n, m)
-    shape = t.shape
-    if N is None:
-        N = shape.outer.first()
-    model, starts, ends = model_and_endpoints(family, shape, n, m, N, layout)
-    total = n if family is CharacterFamily.GL else 2 * n
-    paths = []
-    for i in range(1, N + 1):
-        col = t.column(i)
-        hstep = set()
-        hats = set()
-        circs = set()
-        for e in col:
-            if family is CharacterFamily.GL:
-                hstep.add(e.value)
-                continue
-            if e.deco == tb.HAT:
-                hats.add(e.value)
-            elif e.deco == tb.CIRC:
-                circs.add(e.value)
-            hstep.add(_entry_level(family, e) + 1)  # step numbers are 1-based
-        steps = [RIGHT if j in hstep else UP for j in range(1, total + 1)]
-        if family is CharacterFamily.SO_ODD:
-            for v in sorted(hats, reverse=True):
-                j = 2 * v - 1
-                if steps[j - 1] is not RIGHT or steps[j] is not UP:
-                    raise InvalidFamilyError(
-                        "hat %d not followed by a vertical step" % v
-                    )
-                steps[j - 1 : j + 1] = [DIAG]
-        elif family is CharacterFamily.O_EVEN:
-            for v in sorted(circs, reverse=True):
-                j = 2 * v - 1
-                if steps[j - 1] is not RIGHT or steps[j] is not RIGHT:
-                    raise InvalidFamilyError("circ/hat pair of %d is broken" % v)
-                steps[j - 1 : j + 1] = [OHORIZ]
-        path = Path(starts[i - 1], steps)
-        if path.end != ends[i - 1]:
-            raise InvalidFamilyError(
-                "column %d ends at %r, expected %r" % (i, path.end, ends[i - 1])
-            )
-        paths.append(path)
-    return PathFamily(model, paths)
+def _step_entries(family, kind, lev):
+    """The entries a non-vertical step of the given kind at level lev
+    encodes: the inverse of _entry_level."""
+    if family is CharacterFamily.GL:
+        return (tb.Entry(lev + 1, tb.PLAIN),)
+    v = lev // 2 + 1
+    if kind is DIAG:
+        return (tb.Entry(v, tb.HAT),)
+    if kind is OHORIZ:
+        return (tb.Entry(v, tb.CIRC), tb.Entry(v, tb.HAT))
+    return (tb.Entry(v, tb.PLAIN if lev % 2 else tb.BAR),)
 
 
-def _tableau_to_hook_paths(family, t, n, m):
-    shape = t.shape
-    model, starts, ends = model_and_endpoints(
-        family, shape, n, m, layout=Layout.HOOKWISE
-    )
-    lam, mu = shape.outer, shape.inner
-    lam_c = lam.conjugate()
-    mu_c = mu.conjugate()
-    p = lam.durfee()
-    q = mu.durfee()
-    base = 2 * m
-
-    def descend(start, entries, stop_y=None):
-        """Right/down path with one horizontal step per entry at its height."""
-        pts = [start]
-        x, y = start
-        for e in entries:
-            h = base + _entry_level(family, e)
-            while y > h:
-                y -= 1
-                pts.append((x, y))
-            x += 1
-            pts.append((x, y))
-        if stop_y is not None:
-            while y > stop_y:
-                y -= 1
-                pts.append((x, y))
-        return pts
-
-    def ascend(pts, entries):
-        """Continue with right/up steps, one horizontal per entry level."""
-        pts = list(pts)
-        x, y = pts[-1]
-        for e in entries:
-            s = base + _entry_level(family, e)
-            while x + y < s:
-                y += 1
-                pts.append((x, y))
-            x += 1
-            pts.append((x, y))
-        return pts
-
-    def finish_up(pts, end):
-        x, y = pts[-1]
-        if x != end[0]:
-            raise InvalidFamilyError(
-                "hook path ends in column %d, expected %d" % (x, end[0])
-            )
-        while y < end[1]:
-            y += 1
-            pts.append((x, y))
-        return pts
-
-    def apply_special(pts):
-        """Hat steps become diagonals; circ/hat pairs become o-horizontal arcs."""
-        path = Path.from_points(pts)
-        if family is CharacterFamily.SP or family is CharacterFamily.GL:
-            return path
-        steps = list(path.steps)
-        out = []
-        x, y = path.start
-        k = 0
-        while k < len(steps):
-            s = steps[k]
-            if (
-                family is CharacterFamily.SO_ODD
-                and s is RIGHT
-                and k + 1 < len(steps)
-                and steps[k + 1] is UP
-                and y == x
-                and x >= 0
-                and (x, y) in hat_starts
-            ):
-                out.append(DIAG)
-                x, y = x + 1, y + 1
-                k += 2
-                continue
-            if (
-                family is CharacterFamily.O_EVEN
-                and s is RIGHT
-                and k + 1 < len(steps)
-                and steps[k + 1] is RIGHT
-                and y == x + 2
-                and x >= 0
-                and (x, y) in circ_starts
-            ):
-                out.append(OHORIZ)
-                x, y = x + 2, y
-                k += 2
-                continue
-            out.append(s)
-            x, y = x + s.dx, y + s.dy
-            k += 1
-        return Path(path.start, out)
-
-    hat_starts = set()
-    circ_starts = set()
-    for (r, c), e in t.cells.items():
-        if e.deco == tb.HAT and family is CharacterFamily.SO_ODD:
-            hat_starts.add((m + e.value - 1, m + e.value - 1))
+def _encode(model, start, entries, end):
+    """The path from start to end whose non-vertical steps encode entries in
+    order: vertical steps up to (or, left of the seam, down to) each entry's
+    level, then its step, a diagonal for an odd orthogonal hat, an arc for an
+    even orthogonal circ and the hat under it, a horizontal step otherwise;
+    vertical steps to end after the last entry."""
+    family = model.family
+    x, y = start
+    steps = []
+    entries = iter(entries)
+    for e in entries:
+        dy = _entry_level(family, e) - model.level(x, y)
+        steps.extend([UP] * dy if dy > 0 else [DOWN] * -dy)
         if e.deco == tb.CIRC:
-            circ_starts.add((m + e.value - 2, m + e.value))
-
-    paths = []
-    for i in range(1, p + 1):
-        arm = [t.cells[(i, c)] for c in range(lam.part(i), max(i, mu.part(i)), -1)]
-        if i <= q:
-            pts = descend(starts[i - 1], arm, stop_y=base)
-            if pts[-1] != ends[p + i - 1]:
-                raise InvalidFamilyError("arm path %d misses C_%d" % (i, i))
-            paths.append(Path.from_points(pts))
+            kind = OHORIZ
+            next(entries)  # the hat under the circ
+        elif e.deco == tb.HAT and family is CharacterFamily.SO_ODD:
+            kind = DIAG
         else:
-            corner = t.cells[(i, i)]
-            pts = descend(starts[i - 1], arm + [corner])
-            leg = [t.cells[(r, i)] for r in range(i + 1, lam_c.part(i) + 1)]
-            pts = finish_up(ascend(pts, leg), ends[i - 1])
-            paths.append(apply_special(pts))
-    for i in range(1, q + 1):
-        leg = [t.cells[(r, i)] for r in range(mu_c.part(i) + 1, lam_c.part(i) + 1)]
-        pts = finish_up(ascend([starts[p + i - 1]], leg), ends[i - 1])
-        paths.append(apply_special(pts))
-    return PathFamily(model, paths, hook_connection(p, q))
+            kind = RIGHT
+        steps.append(kind)
+        x, y = x + kind.dx, y + dy + kind.dy
+    dy = end[1] - y
+    steps.extend([UP] * dy if dy > 0 else [DOWN] * -dy)
+    return Path(start, steps)
 
 
-def _decode_ascending(model, path):
-    """Entries read from the horizontal/diagonal/arc steps of an ascending
-    run, using the antidiagonal level rule."""
+def _decode(model, path):
+    """The entries of path's non-vertical steps in order: the inverse of
+    _encode."""
     entries = []
     x, y = path.start
     for s in path.steps:
-        lev = x + y - model.base
-        if s is RIGHT:
-            entries.append(tb.Entry(lev // 2 + 1, tb.BAR if lev % 2 == 0 else tb.PLAIN))
-        elif s is DIAG:
-            entries.append(tb.Entry(lev // 2 + 1, tb.HAT))
-        elif s is OHORIZ:
-            v = lev // 2 + 1
-            entries.append(tb.Entry(v, tb.CIRC))
-            entries.append(tb.Entry(v, tb.HAT))
+        if s.dx:
+            entries.extend(_step_entries(model.family, s, model.level(x, y)))
         x, y = x + s.dx, y + s.dy
     return entries
 
 
+def tableau_to_paths(family, t, n, m=0, N=None, layout=Layout.COLUMNWISE):
+    """Weight-preserving encoding of a valid tableau as a path family: one
+    path per column, or per principal hook with its arm and leg split at the
+    inner shape's hooks.  Raises InvalidFamilyError if t is not a valid
+    tableau of the family."""
+    if not tb.is_valid_tableau(family, t, n, m):
+        raise InvalidFamilyError("not a valid %s tableau: %s" % (family.name, t.to_text()))
+    model, starts, ends = model_and_endpoints(family, t.shape, n, m, N, layout)
+    if layout is Layout.COLUMNWISE:
+        paths = [
+            _encode(model, s, t.column(i), e)
+            for i, (s, e) in enumerate(zip(starts, ends), start=1)
+        ]
+        return PathFamily(model, paths)
+    lam, mu = t.shape.outer, t.shape.inner
+    lam_c, mu_c = lam.conjugate(), mu.conjugate()
+    p, q = lam.durfee(), mu.durfee()
+    cells = t.cells
+    paths = []
+    for i in range(1, p + 1):
+        arm = [cells[(i, c)] for c in range(lam.part(i), max(i, mu.part(i)), -1)]
+        if i <= q:
+            paths.append(_encode(model, starts[i - 1], arm, ends[p + i - 1]))
+        else:
+            hook = arm + [cells[(r, i)] for r in range(i, lam_c.part(i) + 1)]
+            paths.append(_encode(model, starts[i - 1], hook, ends[i - 1]))
+    for i in range(1, q + 1):
+        leg = [cells[(r, i)] for r in range(mu_c.part(i) + 1, lam_c.part(i) + 1)]
+        paths.append(_encode(model, starts[p + i - 1], leg, ends[i - 1]))
+    return PathFamily(model, paths, hook_connection(p, q))
+
+
 def paths_to_tableau(pf):
-    """Inverse of tableau_to_paths; raises InvalidFamily on rule violations."""
+    """Inverse of tableau_to_paths; raises InvalidFamilyError on rule violations."""
     model = pf.model
-    if model.layout is Layout.HOOKWISE:
-        return _hook_paths_to_tableau(pf)
-    family = model.family
-    n, m = model.n, model.m
-    total = n if family is CharacterFamily.GL else 2 * n
     for p in pf.paths:
         p.validate(model)
     if not pf.is_strongly_nonintersecting():
         raise InvalidFamilyError("family is not strongly non-intersecting")
+    if model.family is CharacterFamily.O_EVEN and find_trapped_positions(pf):
+        raise InvalidFamilyError("family has a trapped position")
+    if model.layout is Layout.HOOKWISE:
+        shape, cells = _hook_cells(pf)
+    else:
+        shape, cells = _column_cells(pf)
+    t = tb.Tableau(shape, cells)
+    if not tb.is_valid_tableau(model.family, t, model.n, model.m):
+        raise InvalidFamilyError("decoded filling is not a valid tableau")
+    return t
+
+
+def _column_cells(pf):
+    """Shape and cells read off a columnwise family, one column per path."""
+    model = pf.model
+    total = model.n if model.family is CharacterFamily.GL else 2 * model.n
     if list(pf.connection) != list(range(len(pf.paths))):
         raise InvalidFamilyError("connection permutation is not the identity")
-    if family is CharacterFamily.O_EVEN and find_trapped_positions(pf):
-        raise InvalidFamilyError("family has a trapped position")
     mu_cols = []
     cols = []
     for i, p in enumerate(pf.paths, start=1):
@@ -607,36 +519,8 @@ def paths_to_tableau(pf):
         mu_col = sx + i - 1
         if mu_col < 0:
             raise InvalidFamilyError("start %r left of slot %d" % ((sx, sy), i))
-        entries = []
-        j = 1
-        for s in p.steps:
-            if s is RIGHT:
-                if family is CharacterFamily.GL:
-                    entries.append(tb.Entry(j, tb.PLAIN))
-                else:
-                    v = (j + 1) // 2
-                    entries.append(tb.Entry(v, tb.BAR if j % 2 else tb.PLAIN))
-                j += 1
-            elif s is UP:
-                j += 1
-            elif s is DIAG:
-                if j % 2 == 0:
-                    raise InvalidFamilyError("diagonal step at an even step index")
-                entries.append(tb.Entry((j + 1) // 2, tb.HAT))
-                j += 2
-            elif s is OHORIZ:
-                if j % 2 == 0:
-                    raise InvalidFamilyError("o-horizontal step at an even step index")
-                v = (j + 1) // 2
-                entries.append(tb.Entry(v, tb.CIRC))
-                entries.append(tb.Entry(v, tb.HAT))
-                j += 2
-            else:
-                raise InvalidFamilyError("unexpected step kind %s" % s.name)
-        if ex + i - 1 != mu_col + len(entries):
-            raise InvalidFamilyError("path %d is not a column path" % i)
         mu_cols.append(mu_col)
-        cols.append(entries)
+        cols.append(_decode(model, p))
     lam_cols = [m0 + len(es) for m0, es in zip(mu_cols, cols)]
     for seq, name in ((mu_cols, "start"), (lam_cols, "end")):
         if seq != sorted(seq, reverse=True):
@@ -648,27 +532,18 @@ def paths_to_tableau(pf):
     inner = Partition(
         sum(1 for c in mu_cols if c >= r) for r in range(1, max(mu_cols, default=0) + 1)
     )
-    shape = SkewShape(outer, inner)
     cells = {}
     for i, (skip, es) in enumerate(zip(mu_cols, cols), start=1):
         for k, e in enumerate(es):
             cells[(skip + k + 1, i)] = e
-    t = tb.Tableau(shape, cells)
-    if not tb.is_valid_tableau(family, t, n, m):
-        raise InvalidFamilyError("decoded filling is not a valid tableau")
-    return t
+    return SkewShape(outer, inner), cells
 
 
-def _hook_paths_to_tableau(pf):
+def _hook_cells(pf):
+    """Shape and cells read off a hookwise family: path i gives the arm of
+    hook i (i <= q) or the whole hook, arm, corner and leg (i > q); the i-th
+    D path gives the leg of hook i."""
     model = pf.model
-    family = model.family
-    base = model.base
-    for p in pf.paths:
-        p.validate(model)
-    if not pf.is_strongly_nonintersecting():
-        raise InvalidFamilyError("family is not strongly non-intersecting")
-    if family is CharacterFamily.O_EVEN and find_trapped_positions(pf):
-        raise InvalidFamilyError("family has a trapped position")
     top = 2 * model.n + 2 * model.m - 1
     p_count = sum(1 for path in pf.paths if path.start[1] == top)
     q_count = len(pf.paths) - p_count
@@ -676,74 +551,29 @@ def _hook_paths_to_tableau(pf):
         raise InvalidFamilyError("hook paths must list A starts before D starts")
     if pf.connection != hook_connection(p_count, q_count):
         raise InvalidFamilyError("connection permutation is not the hook pairing")
-
-    arm_entries = {}
-    leg_entries = {}
-    for i in range(1, p_count + 1):
-        path = pf.paths[i - 1]
-        pts = path.points()
-        last0 = max((k for k, pt in enumerate(pts) if pt[0] <= 0), default=0)
-        arm = []
-        x, y = pts[0]
-        for k in range(last0):
-            nxt = pts[k + 1]
-            if nxt[0] == x + 1 and nxt[1] == y:
-                lev = y - base
-                arm.append(tb.Entry(lev // 2 + 1, tb.BAR if lev % 2 == 0 else tb.PLAIN))
-            x, y = nxt
-        arm_entries[i] = arm
-        if last0 < len(pts) - 1:
-            leg_entries[i] = _decode_ascending(
-                model, Path.from_points(pts[last0:])
-            )
-        else:
-            leg_entries[i] = []
-    for i in range(1, q_count + 1):
-        leg_entries[-i] = _decode_ascending(model, pf.paths[p_count + i - 1])
-
-    arms = [-pf.paths[i - 1].start[0] for i in range(1, p_count + 1)]
-    legs = []
-    for i in range(1, p_count + 1):
-        endpoint = (
-            pf.paths[p_count + i - 1].end if i <= q_count else pf.paths[i - 1].end
-        )
-        legs.append(endpoint[0] - 1)
-    gammas = [-pf.paths[i - 1].end[0] for i in range(1, q_count + 1)]
-    deltas = [pf.paths[p_count + i - 1].start[0] - 1 for i in range(1, q_count + 1)]
+    a_paths, d_paths = pf.paths[:p_count], pf.paths[p_count:]
+    arms = [-path.start[0] for path in a_paths]
+    legs = [
+        (d_paths[i] if i < q_count else a_paths[i]).end[0] - 1 for i in range(p_count)
+    ]
+    gammas = [-path.end[0] for path in a_paths[:q_count]]
+    deltas = [path.start[0] - 1 for path in d_paths]
     lam = FrobeniusCoordinates(arms, legs).to_partition() if p_count else Partition()
     mu = FrobeniusCoordinates(gammas, deltas).to_partition() if q_count else Partition()
-    shape = SkewShape(lam, mu)
     lam_c = lam.conjugate()
     mu_c = mu.conjugate()
+    # a path decodes to one entry per unit of x it advances, so the entries
+    # fill the cells the endpoints give exactly
     cells = {}
     for i in range(1, p_count + 1):
-        cols = list(range(lam.part(i), max(i, mu.part(i)), -1))
+        hook = [(i, c) for c in range(lam.part(i), max(i, mu.part(i)), -1)]
         if i <= q_count:
-            arm = arm_entries[i]
-            if len(arm) != len(cols):
-                raise InvalidFamilyError("arm of hook %d has wrong length" % i)
-            for c, e in zip(cols, arm):
-                cells[(i, c)] = e
-            leg = leg_entries[-i]
-            rows = list(range(mu_c.part(i) + 1, lam_c.part(i) + 1))
-            if len(leg) != len(rows):
-                raise InvalidFamilyError("leg of hook %d has wrong length" % i)
-            for r, e in zip(rows, leg):
-                cells[(r, i)] = e
+            leg = [(r, i) for r in range(mu_c.part(i) + 1, lam_c.part(i) + 1)]
+            cells.update(zip(leg, _decode(model, d_paths[i - 1])))
         else:
-            both = arm_entries[i] + leg_entries[i]
-            cols_corner = cols + [i]
-            rows = list(range(i + 1, lam_c.part(i) + 1))
-            if len(both) != len(cols_corner) + len(rows):
-                raise InvalidFamilyError("hook %d has wrong length" % i)
-            for c, e in zip(cols_corner, both[: len(cols_corner)]):
-                cells[(i, c)] = e
-            for r, e in zip(rows, both[len(cols_corner) :]):
-                cells[(r, i)] = e
-    t = tb.Tableau(shape, cells)
-    if not tb.is_valid_tableau(family, t, model.n, model.m):
-        raise InvalidFamilyError("decoded filling is not a valid tableau")
-    return t
+            hook += [(r, i) for r in range(i, lam_c.part(i) + 1)]
+        cells.update(zip(hook, _decode(model, a_paths[i - 1])))
+    return SkewShape(lam, mu), cells
 
 
 # ---------------------------------------------------------------------------
@@ -953,11 +783,11 @@ def reflect_initial_segment(path, d):
 
 
 def _family_bbox(pf):
-    xs, ys = [], []
-    for p in pf.paths:
-        for x, y in p.points():
-            xs.append(x)
-            ys.append(y)
+    """(min x, max x, min y, max y) over the family's vertices, or all 0 for
+    an empty family."""
+    pts = [pt for p in pf.paths for pt in p.points()] or [(0, 0)]
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -1074,8 +904,6 @@ def _collect_crossings(pf, roles):
 def _trap_sites(pf, roles, full):
     """(D, hit) for each odd antidiagonal D whose chain walk finds a trapped
     position, nearest first."""
-    if not pf.paths:
-        return []
     _, maxx, _, maxy = _family_bbox(pf)
     out = []
     for D in range(2 * pf.model.m + 1, maxx + maxy + 1, 2):
@@ -1089,11 +917,8 @@ def find_trapped_positions(pf):
     """All trapped positions of an even-orthogonal family, nearest first."""
     if pf.model.family is not CharacterFamily.O_EVEN:
         raise ValueError("trapped positions are defined for the even orthogonal family")
-    roles = _roles(pf)
-    full = set(roles)
-    full.update(pf.midpoint_set())
     out = []
-    for D, (kind, arg) in _trap_sites(pf, roles, full):
+    for D, (kind, arg) in _trap_sites(pf, *_roles(pf)):
         if kind == "a":
             out.append((arg, D - arg))
         elif kind == "b":
@@ -1103,78 +928,41 @@ def find_trapped_positions(pf):
     return out
 
 
-def _replace_segment(path, old_pts, new_pts):
-    pts = path.points()
-    for k in range(len(pts) - len(old_pts) + 1):
-        if pts[k : k + len(old_pts)] == old_pts:
-            return Path.from_points(pts[:k] + new_pts + pts[k + len(old_pts) :])
+def _flip_segment(kind, arg, D):
+    """(before, after) points of the flip that turns the crossing resolved on
+    antidiagonal D into a trapped position, at the site _walk_chain reports:
+    the vacancy (arg, D-arg) (kind a), the seam dip (b) or the height D-1 run
+    that starts at (arg, D-1) (c).  The unflip at a trapped site is the flip
+    at arg-1 (b: the same flip) read backwards."""
+    if kind == "a":
+        j = arg
+        return (
+            [(j, D - j - 1), (j + 1, D - j - 1), (j + 1, D - j)],
+            [(j, D - j - 1), (j, D - j), (j + 1, D - j)],
+        )
+    if kind == "b":
+        return [(0, D), (0, D - 1), (1, D - 1), (1, D)], [(0, D), (1, D)]
+    xs = arg
+    if xs + 1 > 0:
+        raise MalformedFamilyError("run flip would descend at x=%d" % (xs + 1))
+    return (
+        [(xs, D), (xs, D - 1), (xs + 1, D - 1)],
+        [(xs, D), (xs + 1, D), (xs + 1, D - 1)],
+    )
+
+
+def _rewrite(pf, old_pts, new_pts):
+    """pf with the run of points old_pts replaced by new_pts in the path
+    that passes through them."""
+    paths = list(pf.paths)
+    k = len(old_pts)
+    for i, path in enumerate(paths):
+        pts = path.points()
+        for s in range(len(pts) - k + 1):
+            if pts[s : s + k] == old_pts:
+                paths[i] = Path.from_points(pts[:s] + new_pts + pts[s + k :])
+                return PathFamily(pf.model, paths, pf.connection)
     raise MalformedFamilyError("segment %r not found" % (old_pts,))
-
-
-def _apply_flip(pf, hit, D):
-    """Turn the resolved crossing's antidiagonal into a trapped position."""
-    paths = list(pf.paths)
-    roles = _roles(pf)
-    kind, arg = hit
-    if kind == "a":
-        j0 = arg
-        lt = (j0 + 1, D - j0 - 1)
-        i = roles[lt][0]
-        paths[i] = _replace_segment(
-            paths[i],
-            [(j0, D - j0 - 1), (j0 + 1, D - j0 - 1), (j0 + 1, D - j0)],
-            [(j0, D - j0 - 1), (j0, D - j0), (j0 + 1, D - j0)],
-        )
-    elif kind == "b":
-        i = roles[(0, D)][0]
-        paths[i] = _replace_segment(
-            paths[i],
-            [(0, D), (0, D - 1), (1, D - 1), (1, D)],
-            [(0, D), (1, D)],
-        )
-    else:
-        xs = arg
-        if xs + 1 > 0:
-            raise MalformedFamilyError("run flip would descend at x=%d" % (xs + 1))
-        i = roles[(xs, D - 1)][0]
-        paths[i] = _replace_segment(
-            paths[i],
-            [(xs, D), (xs, D - 1), (xs + 1, D - 1)],
-            [(xs, D), (xs + 1, D), (xs + 1, D - 1)],
-        )
-    return PathFamily(pf.model, paths, pf.connection)
-
-
-def _apply_unflip(pf, hit, D):
-    """Re-occupy the trapped position: the inverse of _apply_flip."""
-    paths = list(pf.paths)
-    roles = _roles(pf)
-    kind, arg = hit
-    if kind == "a":
-        j0 = arg
-        rt = (j0 - 1, D - j0 + 1)
-        i = roles[rt][0]
-        paths[i] = _replace_segment(
-            paths[i],
-            [(j0 - 1, D - j0), (j0 - 1, D - j0 + 1), (j0, D - j0 + 1)],
-            [(j0 - 1, D - j0), (j0, D - j0), (j0, D - j0 + 1)],
-        )
-    elif kind == "b":
-        i = roles[(0, D)][0]
-        paths[i] = _replace_segment(
-            paths[i],
-            [(0, D), (1, D)],
-            [(0, D), (0, D - 1), (1, D - 1), (1, D)],
-        )
-    else:
-        xs = arg
-        i = roles[(xs, D - 1)][0]
-        paths[i] = _replace_segment(
-            paths[i],
-            [(xs - 1, D), (xs, D), (xs, D - 1)],
-            [(xs - 1, D), (xs - 1, D - 1), (xs, D - 1)],
-        )
-    return PathFamily(pf.model, paths, pf.connection)
 
 
 def _resolve_crossing(pf, site):
@@ -1204,7 +992,7 @@ def _resolve_crossing(pf, site):
 def _form_crossing(pf, D):
     """Close the two boundary-most left turns back into an arc over verticals."""
     d = (D - 1) // 2
-    roles = _roles(pf)
+    roles, _ = _roles(pf)
     low = roles.get((d + 1, d))
     high = roles.get((d, d + 1))
     for role in (low, high):
@@ -1231,9 +1019,7 @@ def involution_step(pf):
     """Apply the sign-reversing local change at the unique nearest site."""
     if pf.model.family is not CharacterFamily.O_EVEN:
         raise ValueError("the involution is defined for the even orthogonal family")
-    roles = _roles(pf)
-    full = set(roles)
-    full.update(pf.midpoint_set())
+    roles, full = _roles(pf)
     sites = _collect_crossings(pf, roles)
     sites.extend((D, "trap", hit) for D, hit in _trap_sites(pf, roles, full))
     if not sites:
@@ -1245,12 +1031,10 @@ def involution_step(pf):
     D, kind, info = at_min[0]
     if kind == "cross":
         resolved, D = _resolve_crossing(pf, info)
-        roles2 = _roles(resolved)
-        full2 = set(roles2)
-        full2.update(resolved.midpoint_set())
-        hit = _walk_chain(resolved, D, roles2, full2, for_flip=True)
+        hit = _walk_chain(resolved, D, *_roles(resolved), for_flip=True)
         if hit is None:
             raise MalformedFamilyError("no flip site on antidiagonal %d" % D)
-        return _apply_flip(resolved, hit, D)
-    unflipped = _apply_unflip(pf, info, D)
-    return _form_crossing(unflipped, D)
+        return _rewrite(resolved, *_flip_segment(*hit, D))
+    kind, arg = info
+    before, after = _flip_segment(kind, arg if kind == "b" else arg - 1, D)
+    return _form_crossing(_rewrite(pf, after, before), D)

@@ -1,18 +1,12 @@
 """ASCII and SVG renderers for path families.  Presentation only."""
 
-from .paths import DIAG, DOWN, OHORIZ, RIGHT, UP
+from .paths import DIAG, DOWN, OHORIZ, RIGHT, UP, _family_bbox
 from .symfunc import CharacterFamily
 
 
 def _bbox(pf, pad=1):
-    xs, ys = [], []
-    for p in pf.paths:
-        for x, y in p.points():
-            xs.append(x)
-            ys.append(y)
-    if not xs:
-        xs = ys = [0]
-    return min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+    minx, maxx, miny, maxy = _family_bbox(pf)
+    return minx - pad, maxx + pad, miny - pad, maxy + pad
 
 
 def ascii_render(pf):

@@ -207,6 +207,18 @@ def test_paths_rendering(tmp_path, capsys):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_paths_hookwise_refuses_N(tmp_path, capsys):
+    out = str(tmp_path / "fam")
+    base = ["paths", "--family", "sp", "--shape", "2,1", "--n", "2", "--out", out]
+    assert main(base + ["--layout", "hookwise", "--N", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hookwise layout takes no N" in captured.err
+    assert not list(tmp_path.iterdir())
+    assert main(base + ["--layout", "columnwise", "--N", "5", "--limit", "1"]) == 0
+    assert len(capsys.readouterr().out.split()) == 1
+
+
 def test_compute_writes_file(tmp_path):
     out = tmp_path / "poly.txt"
     rc = main(

@@ -78,7 +78,9 @@ def test_skew_shape():
 
 
 def x(i, e=1, n=1):
-    return LaurentPoly.var_power(i, e, n)
+    exps = [0] * n
+    exps[i - 1] = e
+    return LaurentPoly.monomial(exps)
 
 
 def test_poly_examples():

@@ -22,7 +22,9 @@ F, M = CharacterFamily, Method
 
 
 def x(i, e=1, n=1):
-    return LaurentPoly.var_power(i, e, n)
+    exps = [0] * n
+    exps[i - 1] = e
+    return LaurentPoly.monomial(exps)
 
 
 def test_dual_jt_examples():

@@ -148,7 +148,6 @@ def test_public_constructors_make_no_promise():
     for poly in (
         x1,
         LaurentPoly.monomial((1,)),
-        LaurentPoly.var_power(1, 1, 1),
         LaurentPoly.from_json_terms(1, x1.to_json_terms()),
     ):
         assert not poly._invariant

@@ -128,6 +128,24 @@ def test_roundtrip_sweep():
                             assert family_weight(pf) == tableau_weight(fam, t, n)
 
 
+def test_tableau_to_paths_rejects_invalid_fillings():
+    cases = [
+        (F.SP, "1 / 1"),  # a column that does not increase
+        (F.SP, "2 1"),  # a row that decreases
+        (F.SP, "1 1 / 1 2"),
+        (F.SP, "2 1 / 2"),
+        (F.GL, "1 / 1"),
+        (F.SO_ODD, "1h / 1"),  # row 2 below its lower bound
+    ]
+    for fam, text in cases:
+        t = Tableau.from_text(text)
+        for layout in Layout:
+            if layout is Layout.HOOKWISE and fam is F.GL:
+                continue  # Schur has no hookwise model
+            with pytest.raises(InvalidFamilyError):
+                tableau_to_paths(fam, t, 2, 0, layout=layout)
+
+
 def test_paths_to_tableau_rejects_shared_point():
     model = PathModel(F.SP, Layout.COLUMNWISE, 1, 0)
     pf = PathFamily(model, [Path((0, 0), [R, U]), Path((-1, 1), [R, R])])

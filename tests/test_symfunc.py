@@ -20,7 +20,9 @@ F = CharacterFamily
 
 
 def x(i, e=1, n=1):
-    return LaurentPoly.var_power(i, e, n)
+    exps = [0] * n
+    exps[i - 1] = e
+    return LaurentPoly.monomial(exps)
 
 
 def test_elementary_examples():
@@ -132,7 +134,7 @@ def test_e_matrix_examples():
         assert _is_identity(build_H_matrix(1, m, k, t, 2))
     # bracket [j < m + ceil(k/2)] evaluated literally: false for N=2,m=0,k=2
     E = build_E_matrix(2, 0, 2, -1, 1)
-    assert E.entry(2, 1) == elementary_pm(1, 1)
+    assert E.rows[1][0] == elementary_pm(1, 1)
     # t=0 gives the plain Toeplitz pair, mutually inverse
     E0 = build_E_matrix(4, 1, 1, 0, 2)
     H0 = build_H_matrix(4, 1, 1, 0, 2)
@@ -143,9 +145,9 @@ def test_e_h_lower_unitriangular():
     for N, m, k, t, n in [(4, 1, 2, -1, 2), (5, 2, 1, 1, 1), (3, 0, 0, 2, 2)]:
         for mat in (build_E_matrix(N, m, k, t, n), build_H_matrix(N, m, k, t, n)):
             for i in range(1, N + 1):
-                assert mat.entry(i, i) == LaurentPoly.one(n)
+                assert mat.rows[i - 1][i - 1] == LaurentPoly.one(n)
                 for j in range(i + 1, N + 1):
-                    assert mat.entry(i, j).is_zero()
+                    assert mat.rows[i - 1][j - 1].is_zero()
 
 
 def test_e_h_inverse_pair_sweep():
