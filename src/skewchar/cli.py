@@ -168,9 +168,9 @@ def _run_four_way(case):
 
 
 def _lgv_cases(max_cells, n_range, m_range):
-    """The four-way cases with at most 6 cells and n <= 2, where the
+    """The four-way cases with at most 7 cells and n <= 2, where the
     brute-force signed path sum stays cheap."""
-    return _four_way_cases(min(max_cells, 6), (n_range[0], min(n_range[1], 2)), m_range)
+    return _four_way_cases(min(max_cells, 7), (n_range[0], min(n_range[1], 2)), m_range)
 
 
 def _run_lgv(case):
@@ -386,10 +386,16 @@ def _run_involution(max_cells, n_range, m_range):
 SUITES = ("four-way", "lgv", "weyl", "path-lemmas", "reflection", "eh", "involution")
 
 
+def _check_at_least(name, value, low):
+    if value < low:
+        raise ValueError("%s >= %d fails: %d < %d" % (name, low, value, low))
+
+
 def run_verify(args):
     for name, (lo, _) in (("n", args.n), ("m", args.m)):
-        if lo < 0:
-            raise ValueError("%s >= 0 fails: %d < 0" % (name, lo))
+        _check_at_least(name, lo, 0)
+    _check_at_least("max-cells", args.max_cells, 0)
+    _check_at_least("jobs", args.jobs, 1)
     suites = SUITES if args.suite == "all" else (args.suite,)
     results = []
     for suite in suites:
@@ -427,7 +433,7 @@ def run_verify(args):
 
 
 def _map_cases(fn, cases, jobs):
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, cases, chunksize=8))
     return [fn(c) for c in cases]
@@ -457,6 +463,7 @@ def run_count(args):
 
 
 def run_paths(args):
+    _check_at_least("limit", args.limit, 0)
     shape = parse_shape(args.shape)
     family = FAMILIES[args.family]
     layout = Layout(args.layout)

@@ -580,10 +580,9 @@ def _hook_cells(pf):
 # generating functions and enumeration
 
 
-def _moves(model, x, y, to, blocked):
+def _moves(model, x, y, to):
     """The next steps from (x, y) of a path heading for to, as (kind, nx, ny):
-    those model.step_ok allows, less any that overshoot to or land on a
-    blocked point.
+    those model.step_ok allows, less any that overshoot to.
 
     step_ok alone fixes the order of a path's steps: it allows a descent
     only at x <= 0, every ascent lands at x >= 1 and x never decreases, so
@@ -600,8 +599,6 @@ def _moves(model, x, y, to, blocked):
         if nx > tx:
             continue
         if kind in UP_KINDS and ny > ty:
-            continue
-        if (nx, ny) in blocked:
             continue
         if not model.step_ok(x, y, kind):
             continue
@@ -628,7 +625,7 @@ def _graded_gf(model, frm, to):
         if got is not None:
             return got
         acc = {}
-        for kind, nx, ny in _moves(model, x, y, to, ()):
+        for kind, nx, ny in _moves(model, x, y, to):
             shift = 1 if kind is DIAG or kind is OHORIZ else 0
             exps = None
             if kind is RIGHT:
@@ -663,77 +660,118 @@ def path_gf_by_diag_count(model, frm, to, k):
     return _graded_gf(model, frm, to).get(k, LaurentPoly.zero(model.n))
 
 
+class _SuffixTable(dict):
+    """point -> every model-legal path from it to `to`, in enumeration order,
+    as records (vertex mask, exponent tuple, first step, tail record); a
+    point is walked on its first lookup.
+
+    Tails are shared, so a table stores each step once.  index maps each
+    vertex met to its bit; tables that share it give comparable masks, so
+    paths are vertex-disjoint exactly when their masks are.  Nothing here
+    refers back to the table, so it is freed as soon as its caller drops it.
+    """
+
+    __slots__ = ("model", "to", "index")
+
+    def __init__(self, model, to, index):
+        self.model = model
+        self.to = tuple(to)
+        self.index = index
+
+    def __missing__(self, key):
+        model, to, index = self.model, self.to, self.index
+        x, y = key
+        here = index.setdefault(key, 1 << len(index))
+        if key == to:
+            got = [(here, (0,) * model.n, None, None)] if model.vertex_ok(x, y) else []
+        else:
+            got = []
+            for kind, nx, ny in _moves(model, x, y, to):
+                tails = self[nx, ny]
+                if kind is RIGHT:
+                    v, e = model.right_exp(x, y)
+                    got.extend(
+                        (here | t[0], t[1][:v] + (t[1][v] + e,) + t[1][v + 1:], kind, t)
+                        for t in tails
+                    )
+                else:
+                    got.extend((here | t[0], t[1], kind, t) for t in tails)
+        self[key] = got
+        return got
+
+
+def _steps(record):
+    while record[3] is not None:
+        yield record[2]
+        record = record[3]
+
+
 def enumerate_paths(model, frm, to, blocked=frozenset()):
     """All model-legal paths from frm to to whose vertices avoid blocked
     (arc midpoints may pass over blocked points: that is the weak notion)."""
-    frm, to = tuple(frm), tuple(to)
-    if frm in blocked or to in blocked:
-        return
-    if not (model.vertex_ok(*frm) and model.vertex_ok(*to)):
-        return
-    steps = []
+    frm = tuple(frm)
+    index = {}
+    records = _SuffixTable(model, to, index)[frm]
+    # a blocked point outside the index lies on no path
+    avoid = 0
+    for pt in blocked:
+        avoid |= index.get(tuple(pt), 0)
+    for rec in records:
+        if not rec[0] & avoid:
+            yield Path(frm, _steps(rec))
 
-    def rec(x, y):
-        if (x, y) == to:
-            yield Path(frm, steps)
-            return
-        for kind, nx, ny in _moves(model, x, y, to, blocked):
-            steps.append(kind)
-            yield from rec(nx, ny)
-            steps.pop()
 
-    yield from rec(*frm)
+def _lgv_walk(model, starts, ends):
+    """Every weakly non-intersecting family as (records, connection, number
+    of inversions of the connection), in enumerate_lgv_families's order.
+    The two lists are reused: read them before the next family."""
+    N = len(starts)
+    if len(ends) != N:
+        raise ValueError("start and end lists must have equal length")
+    index = {}
+    suffixes = [_SuffixTable(model, to, index) for to in ends]
+    tables = [[suffix[tuple(frm)] for suffix in suffixes] for frm in starts]
+    return _grow(tables, 0, 0, 0, [False] * N, [None] * N, [None] * N)
+
+
+def _grow(tables, i, occupied, inversions, used, chosen, sigma):
+    """Complete chosen[:i] (whose vertices are the mask occupied) in every
+    way; start i to end j adds the inversions j makes with the ends used."""
+    if i == len(tables):
+        yield chosen, sigma, inversions
+        return
+    for j, table in enumerate(tables[i]):
+        if used[j]:
+            continue
+        more = inversions + sum(used[j + 1:])
+        used[j] = True
+        sigma[i] = j
+        for r in table:
+            if not r[0] & occupied:
+                chosen[i] = r
+                yield from _grow(tables, i + 1, occupied | r[0], more, used, chosen, sigma)
+        used[j] = False
 
 
 def enumerate_lgv_families(model, starts, ends):
     """All weakly non-intersecting families connecting the given points."""
-    N = len(starts)
-    if len(ends) != N:
-        raise ValueError("start and end lists must have equal length")
-    occupied = set()
-    used = [False] * N
-    chosen = []
-    sigma = []
-
-    def rec(i):
-        if i == N:
-            yield PathFamily(model, list(chosen), list(sigma))
-            return
-        for j in range(N):
-            if used[j]:
-                continue
-            options = list(enumerate_paths(model, starts[i], ends[j], blocked=occupied))
-            for path in options:
-                pts = path.points()
-                occupied.update(pts)
-                chosen.append(path)
-                sigma.append(j)
-                used[j] = True
-                yield from rec(i + 1)
-                used[j] = False
-                sigma.pop()
-                chosen.pop()
-                occupied.difference_update(pts)
-
-    yield from rec(0)
+    for chosen, sigma, _ in _lgv_walk(model, starts, ends):
+        paths = [Path(frm, _steps(r)) for frm, r in zip(starts, chosen)]
+        yield PathFamily(model, paths, list(sigma))
 
 
 def lgv_signed_sum(model, starts, ends):
     """Brute-force signed sum over weakly non-intersecting families."""
-    n = model.n
+    zero = (0,) * model.n
     terms = {}
-    for fam in enumerate_lgv_families(model, starts, ends):
-        exps = [0] * n
-        for p in fam.paths:
-            for v, e in enumerate(p.weight_exps(model)):
-                exps[v] += e
-        e = tuple(exps)
-        c = terms.get(e, 0) + fam.sign()
+    for chosen, _, inversions in _lgv_walk(model, starts, ends):
+        e = tuple(map(sum, zip(zero, *[r[1] for r in chosen])))
+        c = terms.get(e, 0) + (-1 if inversions & 1 else 1)
         if c:
             terms[e] = c
         elif e in terms:
             del terms[e]
-    return LaurentPoly(n, terms)
+    return LaurentPoly(model.n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_criterion_1_four_way_agreement():
 
 
 def test_criterion_2_lgv_route():
-    results = [_run_lgv(c) for c in _lgv_cases(6, (1, 2), (0, 2))]
+    results = [_run_lgv(c) for c in _lgv_cases(7, (1, 2), (0, 2))]
     _report(2, "signed lattice-path sums equal the tableau oracle", _failures(results))
 
 

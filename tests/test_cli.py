@@ -98,6 +98,23 @@ def test_verify_rejects_negative_n_and_m(capsys):
             assert want in captured.err
 
 
+def test_negative_sizes_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "fam")
+    runs = [
+        (["paths", "--family", "sp", "--shape", "2,1", "--n", "2", "--out", out, "--limit", "-1"],
+         "limit >= 0 fails: -1 < 0"),
+    ]
+    for suite in SUITES + ("all",):
+        runs.append((["verify", "--suite", suite, "--max-cells", "-1"], "max-cells >= 0 fails: -1 < 0"))
+        runs.append((["verify", "--suite", suite, "--max-cells", "2", "--jobs", "-2"], "jobs >= 1 fails: -2 < 1"))
+    for argv, want in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert want in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_N_only_for_routes_it_sizes(capsys):
     base = ["compute", "--family", "sp", "--shape", "3", "--n", "1"]
     for method in ("tableaux", "giambelli"):

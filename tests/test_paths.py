@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skewchar import (
@@ -228,6 +230,30 @@ def test_walker_routes_agree():
                 assert graded == want, (model, frm, to)
 
 
+def test_enumerate_paths_blocked_semantics():
+    # blocking keeps the unblocked order and drops exactly the paths with a
+    # blocked vertex; arc midpoints are not vertices
+    box = [(x, y) for x in range(-2, 3) for y in range(-1, 5)]
+    for model in _walker_models():
+        for frm in box:
+            for to in box:
+                free = list(enumerate_paths(model, frm, to))
+                if not free:
+                    continue
+                assert list(enumerate_paths(model, frm, to, blocked={frm})) == []
+                assert list(enumerate_paths(model, frm, to, blocked={to})) == []
+                near = {pt for p in free for pt in p.points() + p.arc_midpoints()}
+                near.add((to[0] + 1, to[1]))  # on no path
+                for pt in sorted(near):
+                    for blocked in ({pt}, {pt, (pt[0] + 1, pt[1])}):
+                        want = [p for p in free if not blocked & set(p.points())]
+                        assert list(enumerate_paths(model, frm, to, blocked)) == want
+    # the o-horizontal step over (1, 2) survives blocking its midpoint
+    model = PathModel(F.O_EVEN, Layout.COLUMNWISE, 2, 0)
+    assert list(enumerate_paths(model, (0, 2), (2, 2))) == [Path((0, 2), [R, R]), Path((0, 2), [OH])]
+    assert list(enumerate_paths(model, (0, 2), (2, 2), blocked={(1, 2)})) == [Path((0, 2), [OH])]
+
+
 def test_validate_rejects_illegal_steps():
     hook = PathModel(F.SO_ODD, Layout.HOOKWISE, 2, 1)
     Path((0, 4), [DN, R, U]).validate(hook)
@@ -301,6 +327,49 @@ def test_lgv_single_and_disconnected():
     b = path_gf(model, (30, 30), (31, 33))
     prod = lgv_signed_sum(model, [(0, 0), (30, 30)], [(1, 3), (31, 33)])
     assert prod == a * b
+
+
+def _reference_lgv_families(model, starts, ends):
+    """The weakly non-intersecting families by brute force: per connection,
+    the vertex-disjoint tuples of the product of the per-pair path lists,
+    ordered by (end, rank of the path among that pair's paths) per start."""
+    N = len(starts)
+    lists = [[list(enumerate_paths(model, s, t)) for t in ends] for s in starts]
+    found = []
+    for sigma in itertools.permutations(range(N)):
+        ranked = [list(enumerate(lists[i][sigma[i]])) for i in range(N)]
+        for choice in itertools.product(*ranked):
+            paths = [p for _, p in choice]
+            pts = [pt for p in paths for pt in p.points()]
+            if len(set(pts)) == len(pts):
+                key = [v for i, (k, _) in enumerate(choice) for v in (sigma[i], k)]
+                found.append((key, PathFamily(model, paths, sigma)))
+    found.sort(key=lambda kf: kf[0])
+    return [f for _, f in found]
+
+
+def test_lgv_walk_against_reference():
+    for layout in Layout:
+        for fam in F:
+            if layout is Layout.HOOKWISE and fam is F.GL:
+                continue
+            for lam in partitions_upto(5):
+                for mu in partitions_upto(lam.size(), max_len=2):
+                    if not lam.contains(mu):
+                        continue
+                    for n in (1, 2):
+                        for m in (0,) if fam is F.GL else range(mu.length(), 3):
+                            if lam.length() > (n if fam is F.GL else n + m):
+                                continue
+                            sh = SkewShape(lam, mu)
+                            model, starts, ends = model_and_endpoints(fam, sh, n, m, layout=layout)
+                            want = _reference_lgv_families(model, starts, ends)
+                            case = (layout, fam, lam, mu, n, m)
+                            assert list(enumerate_lgv_families(model, starts, ends)) == want, case
+                            total = LaurentPoly.zero(n)
+                            for f in want:
+                                total = total + f.signed_weight()
+                            assert lgv_signed_sum(model, starts, ends) == total, case
 
 
 def test_lgv_schur_figure_configuration():
