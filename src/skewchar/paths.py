@@ -611,37 +611,33 @@ def _graded_gf(model, frm, to):
     frm to to with exactly k special steps (diagonal or o-horizontal); counts
     with no path are absent."""
     frm, to = tuple(frm), tuple(to)
-    n = model.n
     if not (model.vertex_ok(*frm) and model.vertex_ok(*to)):
         return {}
-    arrived = {0: LaurentPoly.one(n)}
-    memo = {}
+    return _graded_from(model, to, {to: {0: LaurentPoly.one(model.n)}}, *frm)
 
-    def gf(x, y):
-        if (x, y) == to:
-            return arrived
-        key = (x, y)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = {}
-        for kind, nx, ny in _moves(model, x, y, to):
-            shift = 1 if kind is DIAG or kind is OHORIZ else 0
-            exps = None
-            if kind is RIGHT:
-                v, e = model.right_exp(x, y)
-                exps = [0] * n
-                exps[v] = e
-            for k, poly in gf(nx, ny).items():
-                if exps is not None:
-                    poly = poly.mul_monomial(exps)
-                k += shift
-                acc[k] = acc[k] + poly if k in acc else poly
-        acc = {k: poly for k, poly in acc.items() if not poly.is_zero()}
-        memo[key] = acc
-        return acc
 
-    return gf(*frm)
+def _graded_from(model, to, memo, x, y):
+    """_graded_gf from (x, y); memo maps each point walked, to included, to
+    its graded sums (a plain function, so no cycle keeps the memo alive)."""
+    got = memo.get((x, y))
+    if got is not None:
+        return got
+    acc = {}
+    for kind, nx, ny in _moves(model, x, y, to):
+        shift = 1 if kind is DIAG or kind is OHORIZ else 0
+        exps = None
+        if kind is RIGHT:
+            v, e = model.right_exp(x, y)
+            exps = [0] * model.n
+            exps[v] = e
+        for k, poly in _graded_from(model, to, memo, nx, ny).items():
+            if exps is not None:
+                poly = poly.mul_monomial(exps)
+            k += shift
+            acc[k] = acc[k] + poly if k in acc else poly
+    acc = {k: poly for k, poly in acc.items() if not poly.is_zero()}
+    memo[(x, y)] = acc
+    return acc
 
 
 def path_gf(model, frm, to):

@@ -8,6 +8,8 @@ are plain int comparisons.
 """
 
 import os
+from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import LaurentPoly, Partition, SkewShape
@@ -26,6 +28,7 @@ _FAMILY_DECOS = {
 }
 
 DEFAULT_MAX_CELLS = 64
+RULE_CACHE_SIZE = 4096
 
 
 class Entry(NamedTuple):
@@ -120,7 +123,15 @@ class Tableau:
 
 def _max_cells():
     raw = os.environ.get("SKEWCHAR_MAX_CELLS")
-    return int(raw) if raw else DEFAULT_MAX_CELLS
+    if not raw:
+        return DEFAULT_MAX_CELLS
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError("SKEWCHAR_MAX_CELLS must be an integer, got %r" % raw) from None
+    if cap < 0:
+        raise ValueError("SKEWCHAR_MAX_CELLS >= 0 fails: %d < 0" % cap)
+    return cap
 
 
 def check_preconditions(family, lam, mu, n, m):
@@ -154,84 +165,118 @@ def _row_min_rank(family, r, m):
     return entry_rank(i, HAT)  # modified condition for both orthogonal families
 
 
-def _iter_fillings(family, shape, n, m):
-    """Yield (grid, exps) for every valid filling; both are reused buffers."""
-    check_preconditions(family, shape.outer, shape.inner, n, m)
-    if shape.size() > _max_cells():
-        raise ValueError(
-            "shape has %d cells, over SKEWCHAR_MAX_CELLS=%d"
-            % (shape.size(), _max_cells())
-        )
-    cells = shape.cells()
-    decos = _FAMILY_DECOS[family]
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _options(family, n, m, r, col1, below, left, above, first):
+    """The ranks, ascending, that a cell of row r may take.
+
+    col1 says the cell lies in column 1 and below that the column-1 cell
+    under it exists (a circ needs that hat); left, above and first are the
+    ranks of the left neighbour, the upper neighbour and the row's first
+    cell, None where absent.  first matters only to the even orthogonal
+    plain rule."""
+    lo = _row_min_rank(family, r, m)
+    if left is not None:
+        lo = max(lo, left)
+    if above is not None:
+        lo = max(lo, above + 1)
     even = family is CharacterFamily.O_EVEN
     top_rank = 4 * n - 1
-    grid = {}
-    exps = [0] * n
-    contains = shape.contains_cell
-
-    def candidates(r, c):
-        lo = _row_min_rank(family, r, m)
-        if c > 1 and (r, c - 1) in grid:
-            lo = max(lo, grid[(r, c - 1)])
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        # a circ above the first column forces the matching hat
-        if even and c == 1:
-            above = grid.get((r - 1, 1))
-            if above is not None and above % 4 == CIRC:
-                hat = entry_rank(above // 4 + 1, HAT)
-                return [hat] if lo <= hat <= top_rank else []
-        out = []
-        for rank in range(lo, top_rank + 1):
-            deco = rank % 4
-            if deco not in decos:
+    # a circ above the first column forces the matching hat
+    if even and col1 and above is not None and above % 4 == CIRC:
+        hat = entry_rank(above // 4 + 1, HAT)
+        return (hat,) if lo <= hat <= top_rank else ()
+    decos = _FAMILY_DECOS[family]
+    out = []
+    for rank in range(lo, top_rank + 1):
+        deco = rank % 4
+        if deco not in decos:
+            continue
+        v = rank // 4 + 1
+        if deco == HAT:
+            # in the even family a hat comes only under its circ (forced above)
+            if not col1 or r != m + v or even:
                 continue
-            v = rank // 4 + 1
-            if deco == HAT:
-                if c != 1 or r != m + v:
-                    continue
-                if even:
-                    # hat only under its circ (handled by forcing above)
-                    continue
-            elif deco == CIRC:
-                if c != 1 or r != m + v - 1 or not contains(m + v, 1):
-                    continue
-            elif even and deco == PLAIN and r == m + v and c > 1:
-                first = grid.get((r, 1))
-                if first == entry_rank(v, BAR):
-                    if grid.get((r - 1, c)) != entry_rank(v, BAR):
-                        continue
-            out.append(rank)
-        return out
+        elif deco == CIRC:
+            if not col1 or r != m + v - 1 or not below:
+                continue
+        elif even and deco == PLAIN and r == m + v and not col1:
+            if first == entry_rank(v, BAR) and above != first:
+                continue
+        out.append(rank)
+    return tuple(out)
 
-    def place(idx):
-        if idx == len(cells):
-            yield grid, exps
-            return
-        r, c = cells[idx]
-        for rank in candidates(r, c):
-            deco = rank % 4
-            v = rank // 4
-            grid[(r, c)] = rank
-            if deco == PLAIN:
-                exps[v] += 1
-            elif deco == BAR:
-                exps[v] -= 1
-            yield from place(idx + 1)
-            if deco == PLAIN:
-                exps[v] -= 1
-            elif deco == BAR:
-                exps[v] += 1
-            del grid[(r, c)]
 
-    yield from place(0)
+def _key_width(cells):
+    """Digit width w of a packed weight key; every |exponent| <= cells < 2^(w-2)."""
+    return cells.bit_length() + 2
+
+
+def _iter_fillings(family, shape, n, m):
+    """Yield (ranks, key) for every valid filling, cells in row-major order.
+
+    ranks is a reused buffer with one spare slot, always None, after the
+    cells; key packs the weight's exponents as digits of width w
+    (_key_width), digit v holding 2^(w-1) + exponent v."""
+    check_preconditions(family, shape.outer, shape.inner, n, m)
+    cap = _max_cells()
+    if shape.size() > cap:
+        raise ValueError(
+            "shape has %d cells, over SKEWCHAR_MAX_CELLS=%d" % (shape.size(), cap)
+        )
+    cells = shape.cells()
+    size = len(cells)
+    w = _key_width(size)
+    ranks = [0] * size + [None]
+    key = ((1 << n * w) - 1) // ((1 << w) - 1) << (w - 1)  # 2^(w-1) in every digit
+    if not size:
+        yield ranks, key
+        return
+    step = [0] * (4 * n)
+    for v in range(n):
+        step[4 * v + PLAIN] = 1 << (v * w)
+        step[4 * v + BAR] = -(1 << (v * w))
+    # per cell: the rule's fixed arguments and a getter of (left, above,
+    # first) from ranks; an absent neighbour reads the spare None slot
+    index = {cell: i for i, cell in enumerate(cells)}
+    even = family is CharacterFamily.O_EVEN
+    fixed = [(family, n, m, r, c == 1, c == 1 and (r + 1, 1) in index) for r, c in cells]
+    getters = [
+        itemgetter(
+            index.get((r, c - 1), size),
+            index.get((r - 1, c), size),
+            index.get((r, 1), size) if even and c > 1 else size,
+        )
+        for r, c in cells
+    ]
+    seen = [{} for _ in cells]  # per cell: (left, above, first) -> options
+    last = size - 1
+    keys = [key] * size  # keys[i]: the weight of cells 0..i-1
+    stack = [iter(_options(*fixed[0], *getters[0](ranks)))]
+    i = 0
+    while stack:
+        for rank in stack[-1]:
+            ranks[i] = rank
+            if i == last:
+                yield ranks, keys[i] + step[rank]
+                continue
+            keys[i + 1] = keys[i] + step[rank]
+            i += 1
+            probe = getters[i](ranks)
+            opts = seen[i].get(probe)
+            if opts is None:
+                opts = seen[i][probe] = _options(*fixed[i], *probe)
+            stack.append(iter(opts))
+            break
+        else:
+            stack.pop()
+            i -= 1
 
 
 def enumerate_tableaux(family, shape, n, m=0):
     """Stream every valid tableau of the family exactly once."""
-    for grid, _ in _iter_fillings(family, shape, n, m):
-        yield Tableau(shape, {cell: _rank_entry(rank) for cell, rank in grid.items()})
+    cells = shape.cells()
+    for ranks, _ in _iter_fillings(family, shape, n, m):
+        yield Tableau(shape, {cell: _rank_entry(rank) for cell, rank in zip(cells, ranks)})
 
 
 def count_tableaux(family, shape, n, m=0):
@@ -251,11 +296,15 @@ def tableau_weight(family, t, n):
 
 def character_by_tableaux(family, shape, n, m=0):
     """Exact sum of tableau weights: the oracle for every determinant formula."""
-    terms = {}
-    for _, exps in _iter_fillings(family, shape, n, m):
-        e = tuple(exps)
-        terms[e] = terms.get(e, 0) + 1
-    return LaurentPoly(n, terms)
+    counts = {}
+    for _, key in _iter_fillings(family, shape, n, m):
+        counts[key] = counts.get(key, 0) + 1
+    w = _key_width(shape.size())
+    mask, bias = (1 << w) - 1, 1 << (w - 1)
+    shifts = range(0, n * w, w)
+    return LaurentPoly(
+        n, {tuple(((key >> s) & mask) - bias for s in shifts): c for key, c in counts.items()}
+    )
 
 
 def is_valid_tableau(family, t, n, m=0):

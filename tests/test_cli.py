@@ -243,3 +243,20 @@ def test_compute_writes_file(tmp_path):
     )
     assert rc == 0
     assert out.read_text().strip() == "x1^2 + 1 + x1^-2"
+
+
+def test_bad_max_cells_exits_2_and_names_the_variable(capsys, monkeypatch):
+    base = ["compute", "--family", "sp", "--shape", "2,1", "--n", "2"]
+    assert main(base + ["--method", "dual-jt"]) == 0
+    want_out = capsys.readouterr().out
+    for raw, want in [("abc", "SKEWCHAR_MAX_CELLS must be an integer, got 'abc'"),
+                      ("-1", "SKEWCHAR_MAX_CELLS >= 0 fails: -1 < 0")]:
+        monkeypatch.setenv("SKEWCHAR_MAX_CELLS", raw)
+        assert main(base + ["--method", "tableaux"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % want
+        # the routes that enumerate nothing never read the cap
+        for method in ("dual-jt", "jt", "giambelli", "lgv"):
+            assert main(base + ["--method", method]) == 0
+            assert capsys.readouterr().out == want_out

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -167,6 +168,23 @@ def test_symplectic_path_gf_spec_example():
 def test_gf_from_equals_to():
     model = PathModel(F.O_EVEN, Layout.COLUMNWISE, 2, 0, base=10)
     assert path_gf(model, (5, 5), (5, 5)) == LaurentPoly.one(2)
+
+
+def test_path_gf_leaves_no_reference_cycles():
+    # each call's memo is freed when it returns, without the cyclic collector
+    sp = PathModel(F.SP, Layout.COLUMNWISE, 2, 0)
+    so = PathModel(F.SO_ODD, Layout.COLUMNWISE, 2, 0, base=2)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            path_gf(sp, (0, 0), (3, 5))
+            path_gf_by_diag_count(so, (0, 2), (2, 4), 1)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_path_gf_closed_forms_grid():

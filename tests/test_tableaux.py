@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skewchar import (
@@ -14,7 +16,9 @@ from skewchar import (
     is_valid_tableau,
     tableau_weight,
 )
+from skewchar import cli
 from skewchar.core import partitions_upto
+from skewchar.tableaux import Entry
 
 F = CharacterFamily
 
@@ -104,6 +108,86 @@ def test_max_cells_cap(monkeypatch):
         count_tableaux(F.SP, SkewShape(Partition((2, 2))), 2, 0)
     monkeypatch.setenv("SKEWCHAR_MAX_CELLS", "4")
     assert count_tableaux(F.SP, SkewShape(Partition((2, 2))), 2, 0) > 0
+
+
+def test_max_cells_must_be_a_nonnegative_integer(monkeypatch):
+    sh = SkewShape(Partition((1,)))
+    for raw, want in [("abc", "SKEWCHAR_MAX_CELLS must be an integer, got 'abc'"),
+                      ("-1", "SKEWCHAR_MAX_CELLS >= 0 fails: -1 < 0")]:
+        monkeypatch.setenv("SKEWCHAR_MAX_CELLS", raw)
+        for run in (character_by_tableaux, count_tableaux):
+            with pytest.raises(ValueError, match=want):
+                run(F.SP, sh, 1, 0)
+        with pytest.raises(ValueError, match=want):
+            list(enumerate_tableaux(F.SP, sh, 1, 0))
+    monkeypatch.setenv("SKEWCHAR_MAX_CELLS", "0")
+    assert count_tableaux(F.SP, SkewShape(Partition((1,)), Partition((1,))), 1, 1) == 1
+
+
+# each family's decorated alphabet, in rank order within a value
+ALPHABET = {
+    F.GL: ("",),
+    F.SP: ("b", ""),
+    F.SO_ODD: ("h", "b", ""),
+    F.O_EVEN: ("c", "h", "b", ""),
+}
+
+
+def _brute_force(fam, sh, n, m):
+    """Every valid tableau, filtered from all fillings by the alphabet, in
+    lexicographic row-major rank order."""
+    alphabet = [Entry.from_text("%d%s" % (v, d)) for v in range(1, n + 1) for d in ALPHABET[fam]]
+    cells = sh.cells()
+    fills = itertools.product(alphabet, repeat=len(cells))
+    fillings = (Tableau(sh, zip(cells, fill)) for fill in fills)
+    return [t for t in fillings if is_valid_tableau(fam, t, n, m)]
+
+
+def test_enumeration_equals_brute_force():
+    cases = 0
+    for lam in partitions_upto(6):
+        for mu in partitions_upto(lam.size()):
+            if not lam.contains(mu) or mu.length() > 2 or lam.size() - mu.size() > 4:
+                continue
+            sh = SkewShape(lam, mu)
+            cells = sh.cells()
+            for fam in (F.GL, F.SP, F.SO_ODD, F.O_EVEN):
+                for n in (1, 2):
+                    for m in (0,) if fam is F.GL else (0, 1, 2):
+                        if mu.length() > m or lam.length() > n + m:
+                            continue
+                        if fam is F.GL and lam.length() > n:
+                            continue
+                        want = _brute_force(fam, sh, n, m)
+                        got = list(enumerate_tableaux(fam, sh, n, m))
+                        assert got == want, (fam, lam, mu, n, m)
+                        assert len(set(got)) == len(got)
+                        order = [tuple(t.cells[c].rank for c in cells) for t in got]
+                        assert order == sorted(order)
+                        assert count_tableaux(fam, sh, n, m) == len(want)
+                        weight = LaurentPoly.zero(n)
+                        for t in want:
+                            weight = weight + tableau_weight(fam, t, n)
+                        assert character_by_tableaux(fam, sh, n, m) == weight
+                        cases += 1
+    assert cases == 1226
+
+
+def test_packed_weight_at_its_extremes():
+    # 64 cells, the default cap: one digit spans x^64 .. x^-64
+    row = SkewShape(Partition((64,)))
+    assert character_by_tableaux(F.SP, row, 1, 0) == LaurentPoly(
+        1, {(k,): 1 for k in range(-64, 65, 2)}
+    )
+    # three digits, each reaching +-|shape| next to its neighbours
+    sh = SkewShape(Partition((4,)))
+    ch = character_by_tableaux(F.SP, sh, 3, 0)
+    for v in range(3):
+        for sign in (1, -1):
+            exps = [0, 0, 0]
+            exps[v] = 4 * sign
+            assert ch.terms[tuple(exps)] == 1
+    assert ch == dual_jacobi_trudi(F.SP, Partition((4,)), Partition(), 3)
 
 
 def test_all_ones_counts_and_bc_symmetry():
