@@ -1,15 +1,18 @@
 """Partitions, skew shapes, Frobenius coordinates, exact Laurent polynomials
 and exact determinants of polynomial matrices.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share between threads.
+Every value is immutable as seen from outside and every operation is a pure
+function.  A LaurentPoly fills a few private slots lazily (its full terms,
+envelope and packed keys), each a function of its coefficients alone, so
+two threads that fill one at once store equal values and either write may
+win: everything here is safe to share between threads.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from math import comb, factorial
-from operator import add, mul
+from operator import add, ge, mul
 
 
 class NonExactDivisionError(ArithmeticError):
@@ -207,19 +210,52 @@ class LaurentPoly:
     variables and x_i -> x_i^-1).  No public constructor takes it: it is
     set through _owning only where it is proven, by the constants and by
     the e/h tables of the doubled alphabet (symfunc).  Sums, negations,
-    scalings, exact divisions and products of promised values keep it, and
-    a product of two promised values is computed on dominant weights only
-    where that pays (see __mul__).  Equality, hashing and every output
-    ignore it.
+    scalings, exact divisions and products of promised values keep it.
+
+    A promised value stores its coefficients at the dominant weights nu
+    (nu_1 >= ... >= nu_n >= 0), one per orbit, and those operations work on
+    them alone: a product of two promised values computes only dominant
+    coefficients where that pays (see __mul__), and no orbit is written out.
+    terms is then a read-only view, expanded from the orbits once, on first
+    read: by output, by equality with an unpromised value, by hashing and
+    by the term-pair loop.  Equality, hashing and every output ignore the
+    promise.
     """
 
-    __slots__ = ("n_vars", "terms", "_invariant", "_envelope")
+    __slots__ = ("n_vars", "_terms", "_dom", "_envelope", "_packed")
 
     def __init__(self, n_vars, terms=None):
         self.n_vars = n_vars
-        self.terms = dict(terms) if terms else {}
-        self._invariant = False
-        self._envelope = None  # of an invariant operand, see _envelope
+        self._terms = dict(terms) if terms else {}
+        self._dom = None  # coefficients at dominant weights of a promised value
+        self._envelope = None  # of a promised operand, see _envelope
+        self._packed = None  # (digit width, packed terms), see _packed
+
+    @property
+    def terms(self):
+        terms = self._terms
+        if terms is None:
+            terms = {}
+            for nu, c in self._dom.items():
+                terms.update(zip(_orbit(nu), repeat(c)))
+            self._terms = terms
+        return terms
+
+    @property
+    def _invariant(self):
+        return self._dom is not None
+
+    def _stored(self):
+        """The stored coefficients: the dominant ones of a promised value,
+        every term of any other."""
+        return self._terms if self._dom is None else self._dom
+
+    def _like(self, coeffs):
+        """A value of self's kind that takes over coeffs, a fresh dict keyed
+        like _stored."""
+        if self._dom is None:
+            return _owning(self.n_vars, coeffs, False)
+        return _dominant(self.n_vars, coeffs)
 
     @classmethod
     def zero(cls, n_vars):
@@ -239,7 +275,7 @@ class LaurentPoly:
         return cls(len(exps), {exps: int(coeff)} if coeff else None)
 
     def is_zero(self):
-        return not self.terms
+        return not self._stored()
 
     def _check(self, other):
         if self.n_vars != other.n_vars:
@@ -248,78 +284,45 @@ class LaurentPoly:
             )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.n_vars == other.n_vars
-            and self.terms == other.terms
-        )
+        if not isinstance(other, LaurentPoly) or self.n_vars != other.n_vars:
+            return False
+        if self._dom is not None and other._dom is not None:
+            return self._dom == other._dom
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n_vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        """Copy the operand with more terms and add the other one into it."""
+        """Two promised values add their dominant coefficients, any other
+        pair their terms."""
         self._check(other)
-        a, b = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return _owning(self.n_vars, terms, self._invariant and other._invariant)
+        if self._dom is not None and other._dom is not None:
+            return _dominant(self.n_vars, _sum(self._dom, other._dom))
+        return _owning(self.n_vars, _sum(self.terms, other.terms), False)
 
     def __neg__(self):
-        return _owning(self.n_vars, {e: -c for e, c in self.terms.items()}, self._invariant)
+        return self._like({e: -c for e, c in self._stored().items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        """Product.  Two operands that carry the invariance promise are
-        multiplied on dominant weights only where that pays
-        (_invariant_mul); any other pair by one int add per term pair on
-        packed exponents, and the result keeps the promise if both had it.
-
-        Each exponent tuple is packed into one int, digit i holding
-        e_i + 2^(w-2) in bits [i*w, (i+1)*w).  The width w exceeds the bit
-        length of every |exponent| of both operands by 2, so every digit
-        lies in (0, 2^(w-1)), a digit of a sum of two keys lies in
-        (0, 2^w) and no carry crosses a digit: the sum of two keys is the
-        key of the product monomial with digits e_i + 2^(w-1).
-        """
+        """Product.  Two nonzero promised operands are multiplied on
+        dominant weights only where that pays (_invariant_mul); any other
+        pair by the term-pair loop (_term_pair_mul), and the result keeps
+        the promise if both had it."""
         if isinstance(other, int):
             return self.scaled(other)
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        invariant = a._invariant and b._invariant
-        if invariant and self.n_vars and a.terms:
-            product = _invariant_mul(self.n_vars, a, b)
+        n = self.n_vars
+        invariant = self._dom is not None and other._dom is not None
+        if invariant and n and self._dom and other._dom:
+            small, large = (other, self) if _size(self) > _size(other) else (self, other)
+            product = _invariant_mul(n, small, large)
             if product is not None:
                 return product
-        big = max((abs(x) for t in (a.terms, b.terms) for e in t for x in e), default=0)
-        w = big.bit_length() + 2
-        shifts = range(0, self.n_vars * w, w)
-        bias = sum((1 << (w - 2)) << s for s in shifts)
-        pa = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in a.terms.items()]
-        pb = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in b.terms.items()]
-        acc = {}
-        get = acc.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-        mask = (1 << w) - 1
-        half = 1 << (w - 1)
-        return _owning(
-            self.n_vars,
-            {tuple(((k >> s) & mask) - half for s in shifts): c for k, c in acc.items() if c},
-            invariant,
-        )
+        return _owning(n, _term_pair_mul(n, self.terms, other.terms), invariant)
 
     __rmul__ = __mul__
 
@@ -327,7 +330,7 @@ class LaurentPoly:
         c = int(c)
         if c == 0:
             return LaurentPoly.zero(self.n_vars)
-        return _owning(self.n_vars, {e: k * c for e, k in self.terms.items()}, self._invariant)
+        return self._like({e: k * c for e, k in self._stored().items()})
 
     def mul_monomial(self, exps, coeff=1):
         if coeff == 0:
@@ -346,15 +349,15 @@ class LaurentPoly:
         d = int(d)
         if d == 0:
             raise ZeroDivisionError("division by zero")
-        terms = {}
-        for e, c in self.terms.items():
+        coeffs = {}
+        for e, c in self._stored().items():
             q, r = divmod(c, d)
             if r:
                 raise NonExactDivisionError(
                     "coefficient %d not divisible by %d" % (c, d)
                 )
-            terms[e] = q
-        return _owning(self.n_vars, terms, self._invariant)
+            coeffs[e] = q
+        return self._like(coeffs)
 
     def eval_at(self, point):
         """Exact rational value at a point of nonzero rationals."""
@@ -432,24 +435,96 @@ class LaurentPoly:
 
 
 def _owning(n_vars, terms, invariant):
-    """A LaurentPoly that takes over terms, a fresh dict, without copying it."""
+    """A LaurentPoly that takes over terms, a fresh dict, without copying
+    it; a promised one also stores its coefficients at dominant weights."""
     poly = object.__new__(LaurentPoly)
     poly.n_vars = n_vars
-    poly.terms = terms
-    poly._invariant = invariant
-    poly._envelope = None
+    poly._terms = terms
+    poly._dom = {e: c for e, c in terms.items() if _is_dominant(e)} if invariant else None
+    poly._envelope = poly._packed = None
     return poly
 
 
+def _dominant(n_vars, dom):
+    """A promised LaurentPoly that takes over dom, a fresh dict from
+    dominant weights to nonzero coefficients; its terms are expanded on
+    first read."""
+    poly = object.__new__(LaurentPoly)
+    poly.n_vars = n_vars
+    poly._terms = None
+    poly._dom = dom
+    poly._envelope = poly._packed = None
+    return poly
+
+
+def _is_dominant(e):
+    return not e or (e[-1] >= 0 and all(map(ge, e, e[1:])))
+
+
+def _sum(x, y):
+    """The sum of two coefficient dicts as a fresh dict without zeros: a
+    copy of the longer one with the other added into it."""
+    if len(x) < len(y):
+        x, y = y, x
+    out = dict(x)
+    for e, c in y.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    return out
+
+
+def _term_pair_mul(n, a, b):
+    """The product of two term dicts, one int add per term pair on packed
+    exponents.
+
+    Each exponent tuple is packed into one int, digit i holding
+    e_i + 2^(w-2) in bits [i*w, (i+1)*w).  The width w exceeds the bit
+    length of every |exponent| of both operands by 2, so every digit
+    lies in (0, 2^(w-1)), a digit of a sum of two keys lies in
+    (0, 2^w) and no carry crosses a digit: the sum of two keys is the
+    key of the product monomial with digits e_i + 2^(w-1).
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    big = max((abs(x) for t in (a, b) for e in t for x in e), default=0)
+    w = big.bit_length() + 2
+    shifts = range(0, n * w, w)
+    bias = sum((1 << (w - 2)) << s for s in shifts)
+    pa = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in a.items()]
+    pb = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in b.items()]
+    acc = {}
+    get = acc.get
+    for ka, ca in pa:
+        for kb, cb in pb:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    return {tuple(((k >> s) & mask) - half for s in shifts): c for k, c in acc.items() if c}
+
+
+def _size(poly):
+    """The number of terms, counted from the orbits until they are written."""
+    terms = poly._terms
+    if terms is not None:
+        return len(terms)
+    return sum(map(len, map(_orbit, poly._dom)))
+
+
 def _envelope(poly):
-    """The envelope (F, parities) of a nonzero B_n-invariant polynomial,
-    computed once: F[k-1] is the largest sum of the k largest |exponents| of
-    a term, and parities holds the parity of every term's exponent sum.  The
-    dominant representative of each term's orbit is a term too, so F[k-1]
-    is the largest e_1 + ... + e_k over all terms."""
+    """The envelope (F, parities) of a nonzero promised polynomial,
+    computed once: F[k-1] is the largest sum of the k largest |exponents|
+    of a term, and parities holds the parity of every term's exponent sum.
+    Both are read from the dominant weights alone: a term's |exponents|
+    and the parity of its exponent sum are those of the dominant weight nu
+    of its orbit, whose k largest |exponents| are nu_1, ..., nu_k, so F[k-1]
+    is the largest nu_1 + ... + nu_k over the stored nu."""
     env = poly._envelope
     if env is None:
-        cols = zip(*poly.terms)
+        cols = zip(*poly._dom)
         run = next(cols)
         bound = [max(run)]
         for col in cols:
@@ -460,20 +535,33 @@ def _envelope(poly):
 
 
 # dominant-candidate lists and orbits kept at once; the 4x4-box sweep of
-# acceptance criterion 1 uses about 400 lists and 250 orbits
+# acceptance criterion 1 (dual-JT, JT and Giambelli) uses 395 lists and 109
+# orbits, and sp (6,6,6,6)/(2) by JT with n=4 and m=1 uses 337 and 809
 KERNEL_CACHE_SIZE = 1024
+
+# packed orbits kept at once, one per (nu, digit width).  Nearly all are at
+# KEY_WIDTH_FLOOR: the verify-box and wide-row plans of perfbench (seeds 1
+# and 4) fill at most 109 and 64 entries, the criterion-1 sweep 109 and
+# sp (6,6,6,6)/(2) by JT with n=4 and m=1 791.  A value keeps the packing
+# of one width only (_packed), so it holds no cache that grows.
+PACKED_ORBIT_CACHE_SIZE = 1024
+
+# the least digit width of packed keys.  Every product whose envelope has
+# F_1 < 2^(KEY_WIDTH_FLOOR - 2) packs at this width, so an operand is packed
+# once however many products it enters: every product of the verify-box and
+# wide-row plans, of criterion 1 and of the three ROADMAP shapes sp (12,),
+# o (12,12,12) and sp (6,6,6,6)/(2) does.
+KEY_WIDTH_FLOOR = 8
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _candidates(bound, parities):
     """The dominant weights nu_1 >= ... >= nu_n >= 0 whose k-th partial sum
     is at most bound[k-1] and whose |nu| mod 2 is in parities, as
-    (weights, bias, nus, keys): digit i of a key has weight 2^(i*w), with
-    w = bit_length(2 * bound[0]) + 1, and holds nu_i + 2^(w-1)."""
+    (w, nus, keys): keys packs nus at the digit width
+    w = max(KEY_WIDTH_FLOOR, bit_length(2 * bound[0]) + 1) (_packed_orbit)."""
     n = len(bound)
-    w = (2 * bound[0]).bit_length() + 1
-    weights = tuple(1 << s for s in range(0, n * w, w))
-    bias = sum(weights) << (w - 1)
+    w = max(KEY_WIDTH_FLOOR, (2 * bound[0]).bit_length() + 1)
     nus = []
 
     def rec(prefix, total, cap):
@@ -486,7 +574,13 @@ def _candidates(bound, parities):
             rec(prefix + (x,), total + x, x)
 
     rec((), 0, bound[0])
-    return weights, bias, tuple(nus), tuple(sum(map(mul, nu, weights)) + bias for nu in nus)
+    weights = _weights(n, w)
+    return w, tuple(nus), tuple(sum(map(mul, nu, weights)) for nu in nus)
+
+
+def _weights(n, w):
+    """2^(i*w) for the digits i < n of a packed key of width w."""
+    return tuple(1 << s for s in range(0, n * w, w))
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -494,6 +588,29 @@ def _orbit(nu):
     """The B_n orbit of a dominant weight: its distinct signed permutations."""
     signed = product(*(((x, -x) if x else (0,)) for x in nu))
     return tuple({p for s in signed for p in permutations(s)})
+
+
+@lru_cache(maxsize=PACKED_ORBIT_CACHE_SIZE)
+def _packed_orbit(nu, w):
+    """The orbit of nu packed in balanced digits of width w: e goes to
+    e_1 + e_2 * 2^w + ... + e_n * 2^((n-1)w), digits signed.  Packing is
+    linear, and two vectors whose digits all lie within 2^(w-1) of 0 have
+    equal keys only if they are equal."""
+    weights = _weights(len(nu), w)
+    return tuple(sum(map(mul, e, weights)) for e in _orbit(nu))
+
+
+def _packed(poly, w):
+    """The terms of a promised poly as {key at digit width w: coefficient},
+    built from the packed orbits of its dominant weights and kept for the
+    latest w only."""
+    packed = poly._packed
+    if packed is None or packed[0] != w:
+        keys = {}
+        for nu, c in poly._dom.items():
+            keys.update(zip(_packed_orbit(nu, w), repeat(c)))
+        packed = poly._packed = w, keys
+    return packed[1]
 
 
 def _product_envelope(small, large):
@@ -520,7 +637,7 @@ def _invariant_mul(n, small, large):
     """
     bound, parities = _product_envelope(small, large)
     most = min(comb(bound[0] + n, n), comb(bound[-1] + n * (n + 1) // 2, n) // factorial(n))
-    if most > 2 * len(large.terms):
+    if most > 2 * _size(large):
         return None
     return _dominant_mul(n, small, large, _candidates(bound, parities))
 
@@ -528,28 +645,24 @@ def _invariant_mul(n, small, large):
 def _dominant_mul(n, small, large, candidates):
     """The product of B_n-invariant small and large from its coefficients
     at the candidate dominant weights nu (see _candidates), c_nu = sum over
-    alpha in small of small[alpha] * large[nu - alpha], each written to the
-    orbit of nu.
+    alpha in small of small[alpha] * large[nu - alpha].
 
-    Exponents are packed into ints with the candidates' digits: large's and
-    the candidates' with digits e_i + 2^(w-1), small's unbiased, so a
+    Both operands are packed at the candidates' width w (_packed), so a
     candidate's key minus one of small is the key of the difference.  Every
-    digit of such a difference lies within 2^(w-1) of the bias, because
-    2^(w-1) exceeds twice the largest |nu_i|, itself at least
-    |nu_i| + |alpha_i|, so no lookup aliases a different weight.
+    digit of such a difference and of a key of large is at most
+    2 * bound[0] < 2^(w-1) in absolute value, so no lookup aliases a
+    different weight.
     """
-    weights, bias, nus, keys = candidates
-    get = dict(zip([sum(map(mul, e, weights)) + bias for e in large.terms], large.terms.values())).get
-    neg_keys = [-sum(map(mul, e, weights)) for e in small.terms]
-    coeffs = list(small.terms.values())
-    zeros = [0] * len(coeffs)
-    terms = {}
+    w, nus, keys = candidates
+    get = _packed(large, w).get
+    packed = _packed(small, w)
+    coeffs = packed.values()
+    dom = {}
     for nu, key in zip(nus, keys):
-        c = sum(map(mul, coeffs, map(get, map(key.__add__, neg_keys), zeros)))
+        c = sum(map(mul, coeffs, map(get, map(key.__sub__, packed), repeat(0))))
         if c:
-            for e in _orbit(nu):
-                terms[e] = c
-    return _owning(n, terms, True)
+            dom[nu] = c
+    return _dominant(n, dom)
 
 
 class PolyMatrix:
@@ -597,9 +710,9 @@ class PolyMatrix:
                 while m:
                     j = (m & -m).bit_length() - 1
                     entry = signed[odd][j]
-                    if entry.terms:
+                    if not entry.is_zero():
                         sub = prev[mask ^ (1 << j)]
-                        if sub.terms:
+                        if not sub.is_zero():
                             acc = acc + entry * sub
                     odd ^= 1
                     m &= m - 1

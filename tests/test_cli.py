@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewchar
 from skewchar import LaurentPoly, Partition, character, CharacterFamily, Method
 from skewchar import cli
 from skewchar.cli import SUITES, ContainmentError, ParseError, main, parse_shape
@@ -260,3 +265,23 @@ def test_bad_max_cells_exits_2_and_names_the_variable(capsys, monkeypatch):
         for method in ("dual-jt", "jt", "giambelli", "lgv"):
             assert main(base + ["--method", method]) == 0
             assert capsys.readouterr().out == want_out
+
+
+def test_python_dash_m_runs_the_cli():
+    # python -m skewchar is the same program as python -m skewchar.cli
+    src = str(Path(skewchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(module, *args):
+        return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    args = ("compute", "--family", "sp", "--shape", "3,1", "--n", "2", "--method", "jt")
+    package, module = run("skewchar", *args), run("skewchar.cli", *args)
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout
+    assert package.stdout.startswith("x1*x2^3 + x1^2*x2^2 + ")
+    bad = run("skewchar", "compute", "--family", "sp", "--shape", "2,3", "--n", "1")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error: ")

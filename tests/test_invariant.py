@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from skewchar import (
     CharacterFamily,
     LaurentPoly,
+    NonExactDivisionError,
     complete_pm,
     core,
     dual_jacobi_trudi,
@@ -67,6 +68,16 @@ def symmetrised(n, seeds):
 
 def untagged(poly):
     return LaurentPoly(poly.n_vars, poly.terms)
+
+
+def dominant_only(poly):
+    """A promised copy of poly stored by its dominant coefficients alone,
+    its terms not yet written out."""
+    return core._dominant(poly.n_vars, dict(poly._dom))
+
+
+def dominant_part(poly):
+    return {e: c for e, c in poly.terms.items() if core._is_dominant(e)}
 
 
 # spans at which the dominant kernel's candidates, at most C(2 * span + n, n),
@@ -126,6 +137,93 @@ def test_dominant_kernel_matches_references(pair):
     assert got._invariant and is_invariant(got)
 
 
+def tuple_sum(a, b, sign=1):
+    """Reference a + sign * b, one term at a time on exponent tuples."""
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, 0) + sign * c
+    return LaurentPoly(a.n_vars, {e: c for e, c in terms.items() if c})
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invariant_pairs(), st.sampled_from((-3, -1, 2, 10**30)))
+def test_dominant_storage_matches_the_tuple_form(pair, k):
+    n, a, b = pair
+    assume(len(a.terms) * len(b.terms) <= 20000)  # the tuple loop stays fast
+    want = {
+        "sum": tuple_sum(a, b),
+        "difference": tuple_sum(a, b, -1),
+        "negation": LaurentPoly(n, {e: -c for e, c in a.terms.items()}),
+        "scaling": LaurentPoly(n, {e: k * c for e, c in a.terms.items()}),
+        "division": untagged(a),
+        "product": tuple_loop_mul(a, b),
+    }
+    da, db = dominant_only(a), dominant_only(b)
+    got = {
+        "sum": da + db,
+        "difference": da - db,
+        "negation": -da,
+        "scaling": da.scaled(k),
+        "division": da.scaled(k).div_exact_int(k),
+    }
+    # none of these writes an orbit out, of an operand or of the result
+    assert da._terms is None and db._terms is None
+    assert all(p._terms is None for p in got.values())
+    got["product"] = da * db
+    for name, ref in want.items():
+        value = got[name]
+        assert value._invariant, name
+        assert value.is_zero() == (not ref.terms), name
+        # dominant to dominant, then once expanded
+        assert value._dom == dominant_part(ref), name
+        assert value == core._owning(n, dict(ref.terms), True), name
+        assert value.terms == ref.terms, name
+        assert value == ref, name
+    odd = any(c % 2 for c in a.terms.values())
+    if odd:
+        with pytest.raises(NonExactDivisionError):
+            dominant_only(a).div_exact_int(2)
+    else:
+        assert dominant_only(a).div_exact_int(2).terms == {e: c // 2 for e, c in a.terms.items()}
+
+
+def envelope_of_terms(terms):
+    """The envelope read off every term: the largest sum of the k largest
+    |exponents| for k = 1..n, and the parities of the exponent sums."""
+    n = len(next(iter(terms)))
+    bound = tuple(
+        max(sum(sorted(map(abs, e), reverse=True)[:k]) for e in terms) for k in range(1, n + 1)
+    )
+    return bound, frozenset(sum(e) & 1 for e in terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invariant_pairs())
+def test_envelope_from_dominant_weights_equals_the_one_over_terms(pair):
+    n, a, b = pair
+    for poly in (a, b):
+        assume(n and not poly.is_zero())
+        assert core._envelope(dominant_only(poly)) == envelope_of_terms(poly.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invariant_pairs())
+def test_zero_equality_and_hash_agree_with_untagged_copies(pair):
+    n, a, b = pair
+    da, db = dominant_only(a), dominant_only(b)
+    cases = [(da, db), (db, da), (da, dominant_only(a)), (da - db, -(db - da)),
+             (da - da, db - db), (da + db, db + da), (da, -da)]
+    for x, y in cases:
+        # both promised, terms not yet written: read off dominant coefficients
+        same, zero = x == y, x.is_zero()
+        ux, uy = untagged(x), untagged(y)
+        assert same == (ux == uy) == (x == uy) == (ux == y)
+        assert zero == ux.is_zero() == (not ux.terms)
+        assert x == ux and hash(x) == hash(ux)
+        if same:
+            assert hash(x) == hash(y)
+
+
 @settings(max_examples=100, deadline=None)
 @given(invariant_pairs(spans=dict.fromkeys(range(4), (1, 2, 64))), st.data())
 def test_public_operands_take_the_term_pair_loop(pair, data):
@@ -174,12 +272,26 @@ def test_kernel_edge_cases():
     assert core._invariant_mul(3, h6, h8) == tuple_loop_mul(h6, h8)
 
 
+def test_an_operand_is_packed_again_at_a_new_digit_width():
+    # h_2 enters products at the floor width, then at a wider one (F_1 = 64
+    # for h_2 * h_62), then at the floor width again
+    p, h1, h62 = complete_pm(2, 2), complete_pm(1, 2), complete_pm(62, 2)
+    widths = []
+    for other in (h1, h62, h1):
+        small, large = sorted((p, other), key=lambda q: len(q.terms))
+        candidates = core._candidates(*core._product_envelope(small, large))
+        assert core._invariant_mul(2, small, large) == tuple_loop_mul(p, other)
+        widths.append(candidates[0])
+        assert p._packed[0] == candidates[0]
+    assert widths[0] == widths[2] == core.KEY_WIDTH_FLOOR < widths[1]
+
+
 def test_orbit_and_candidates():
     for nu in ((0, 0, 0), (2, 1, 0), (3, 3, 1), (2, 2, 2), (4,), (5, 0)):
         assert set(core._orbit(nu)) == signed_permutations(nu)
         assert len(core._orbit(nu)) == len(signed_permutations(nu))
     bound, parities = (4, 6, 7), frozenset((1,))
-    got = core._candidates(bound, parities)[2]
+    got = core._candidates(bound, parities)[1]
     want = [
         nu
         for nu in itertools.product(range(8), repeat=3)
@@ -204,21 +316,31 @@ def test_promise_is_made_only_where_proven():
     for kept in (p + p, -p, p - p, p.scaled(3), p.scaled(2).div_exact_int(2), p * p, p * 5):
         assert kept._invariant
     assert not (p + untagged(p))._invariant
+    q = untagged(p)
+    for dropped in (-q, q + q, q - q, q.scaled(3), q.div_exact_int(1), q * q):
+        assert not dropped._invariant
     assert not (p * untagged(p))._invariant
     assert not p.mul_monomial((1, 0))._invariant
 
 
 def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
     # every value built by sums, negations, scalings, exact divisions and
-    # products in dual-JT, JT and Giambelli: every minor and hook block
+    # products in dual-JT, JT and Giambelli: every minor and hook block,
+    # whether built from its terms (_owning) or from its dominant
+    # coefficients alone (_dominant)
     promised = []
     seen_mul = []
-    owning, mul = core._owning, core.LaurentPoly.__mul__
+    owning, dominant, mul = core._owning, core._dominant, core.LaurentPoly.__mul__
 
     def checked_owning(n_vars, terms, invariant):
         poly = owning(n_vars, terms, invariant)
         if invariant:
             promised.append(poly)
+        return poly
+
+    def checked_dominant(n_vars, dom):
+        poly = dominant(n_vars, dom)
+        promised.append(poly)
         return poly
 
     def spying_mul(a, b):
@@ -227,6 +349,7 @@ def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(core, "_owning", checked_owning)
+    monkeypatch.setattr(core, "_dominant", checked_dominant)
     monkeypatch.setattr(core.LaurentPoly, "__mul__", spying_mul)
     _dual_jt_cached.cache_clear()
     try:
@@ -246,5 +369,8 @@ def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
     finally:
         _dual_jt_cached.cache_clear()
     assert seen_mul and all(seen_mul)
-    assert len(promised) > 1000
-    assert all(is_invariant(p) for p in promised)
+    assert len(promised) > 10000
+    for p in promised:
+        assert all(core._is_dominant(e) and c for e, c in p._dom.items())
+        assert is_invariant(p)
+        assert p._dom == dominant_part(p)
