@@ -13,6 +13,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import LaurentPoly, NonExactDivisionError, Partition, SkewShape, partitions_upto
 from .formulas import Method, character
@@ -533,9 +534,14 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """build_parser's parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NonExactDivisionError, MalformedFamilyError) as exc:

@@ -476,34 +476,50 @@ def _sum(x, y):
     return out
 
 
-def _term_pair_mul(n, a, b):
-    """The product of two term dicts, one int add per term pair on packed
-    exponents.
+def _weights(n, w):
+    """2^(i*w) for the digits i < n of a packed key of width w.
 
-    Each exponent tuple is packed into one int, digit i holding
-    e_i + 2^(w-2) in bits [i*w, (i+1)*w).  The width w exceeds the bit
-    length of every |exponent| of both operands by 2, so every digit
-    lies in (0, 2^(w-1)), a digit of a sum of two keys lies in
-    (0, 2^w) and no carry crosses a digit: the sum of two keys is the
-    key of the product monomial with digits e_i + 2^(w-1).
-    """
+    An exponent vector e packs to the sum of e_i * 2^(i*w), digits signed.
+    Packing is linear: the key of a sum of vectors is the sum of their keys.
+    Two vectors with digits in [-2^(w-1), 2^(w-1)) have equal keys only if
+    they are equal.  Every exponent accumulator packs so, at a width from
+    _key_width, and decodes with _unpack."""
+    return tuple(1 << s for s in range(0, n * w, w))
+
+
+def _key_width(bound):
+    """The least digit width w of packed keys whose digits all lie within
+    bound of 0: bound < 2^(w-1)."""
+    return bound.bit_length() + 1
+
+
+def _unpack(keys, n, w):
+    """{exponent tuple: c} from {packed key at digit width w: c}, zero
+    coefficients dropped: adding 2^(w-1) to every digit puts it in
+    [0, 2^w), where a mask reads it off."""
+    half, mask, shifts = 1 << (w - 1), (1 << w) - 1, range(0, n * w, w)
+    bias = half * sum(_weights(n, w))
+    return {tuple((((k + bias) >> s) & mask) - half for s in shifts): c for k, c in keys.items() if c}
+
+
+def _term_pair_mul(n, a, b):
+    """The product of two term dicts, one int add per packed key pair.
+    A product exponent is at most twice the largest |exponent| of either
+    operand, which sets the width."""
     if len(a) > len(b):
         a, b = b, a
     big = max((abs(x) for t in (a, b) for e in t for x in e), default=0)
-    w = big.bit_length() + 2
-    shifts = range(0, n * w, w)
-    bias = sum((1 << (w - 2)) << s for s in shifts)
-    pa = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in a.items()]
-    pb = [(sum(x << s for x, s in zip(e, shifts)) + bias, c) for e, c in b.items()]
+    w = _key_width(2 * big)
+    weights = _weights(n, w)
+    pa = [(sum(map(mul, e, weights)), c) for e, c in a.items()]
+    pb = [(sum(map(mul, e, weights)), c) for e, c in b.items()]
     acc = {}
     get = acc.get
     for ka, ca in pa:
         for kb, cb in pb:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
-    mask = (1 << w) - 1
-    half = 1 << (w - 1)
-    return {tuple(((k >> s) & mask) - half for s in shifts): c for k, c in acc.items() if c}
+    return _unpack(acc, n, w)
 
 
 def _size(poly):
@@ -559,9 +575,9 @@ def _candidates(bound, parities):
     """The dominant weights nu_1 >= ... >= nu_n >= 0 whose k-th partial sum
     is at most bound[k-1] and whose |nu| mod 2 is in parities, as
     (w, nus, keys): keys packs nus at the digit width
-    w = max(KEY_WIDTH_FLOOR, bit_length(2 * bound[0]) + 1) (_packed_orbit)."""
+    w = max(KEY_WIDTH_FLOOR, _key_width(2 * bound[0]))."""
     n = len(bound)
-    w = max(KEY_WIDTH_FLOOR, (2 * bound[0]).bit_length() + 1)
+    w = max(KEY_WIDTH_FLOOR, _key_width(2 * bound[0]))
     nus = []
 
     def rec(prefix, total, cap):
@@ -578,11 +594,6 @@ def _candidates(bound, parities):
     return w, tuple(nus), tuple(sum(map(mul, nu, weights)) for nu in nus)
 
 
-def _weights(n, w):
-    """2^(i*w) for the digits i < n of a packed key of width w."""
-    return tuple(1 << s for s in range(0, n * w, w))
-
-
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _orbit(nu):
     """The B_n orbit of a dominant weight: its distinct signed permutations."""
@@ -592,10 +603,7 @@ def _orbit(nu):
 
 @lru_cache(maxsize=PACKED_ORBIT_CACHE_SIZE)
 def _packed_orbit(nu, w):
-    """The orbit of nu packed in balanced digits of width w: e goes to
-    e_1 + e_2 * 2^w + ... + e_n * 2^((n-1)w), digits signed.  Packing is
-    linear, and two vectors whose digits all lie within 2^(w-1) of 0 have
-    equal keys only if they are equal."""
+    """The orbit of nu as packed keys of digit width w."""
     weights = _weights(len(nu), w)
     return tuple(sum(map(mul, e, weights)) for e in _orbit(nu))
 

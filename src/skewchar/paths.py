@@ -12,6 +12,7 @@ where the level is y-base: there one horizontal step per entry height.
 from enum import Enum
 
 from .core import FrobeniusCoordinates, LaurentPoly, Partition, SkewShape
+from .core import _key_width, _unpack, _weights
 from .symfunc import CharacterFamily
 from . import tableaux as tb
 
@@ -656,10 +657,18 @@ def path_gf_by_diag_count(model, frm, to, k):
     return _graded_gf(model, frm, to).get(k, LaurentPoly.zero(model.n))
 
 
+def _advance_width(starts, ends):
+    """The digit width of packed weight keys (core) for paths from starts
+    to ends.  No step decreases x, and a horizontal step advances x by 1
+    and moves one exponent by +-1, so no exponent of a family's summed
+    weight exceeds the family's total x-advance in absolute value."""
+    return _key_width(sum(to[0] for to in ends) - sum(frm[0] for frm in starts))
+
+
 class _SuffixTable(dict):
     """point -> every model-legal path from it to `to`, in enumeration order,
-    as records (vertex mask, exponent tuple, first step, tail record); a
-    point is walked on its first lookup.
+    as records (vertex mask, weight key at digit width w, first step, tail
+    record); a point is walked on its first lookup.
 
     Tails are shared, so a table stores each step once.  index maps each
     vertex met to its bit; tables that share it give comparable masks, so
@@ -667,29 +676,28 @@ class _SuffixTable(dict):
     refers back to the table, so it is freed as soon as its caller drops it.
     """
 
-    __slots__ = ("model", "to", "index")
+    __slots__ = ("model", "to", "index", "weights")
 
-    def __init__(self, model, to, index):
+    def __init__(self, model, to, index, w):
         self.model = model
         self.to = tuple(to)
         self.index = index
+        self.weights = _weights(model.n, w)
 
     def __missing__(self, key):
         model, to, index = self.model, self.to, self.index
         x, y = key
         here = index.setdefault(key, 1 << len(index))
         if key == to:
-            got = [(here, (0,) * model.n, None, None)] if model.vertex_ok(x, y) else []
+            got = [(here, 0, None, None)] if model.vertex_ok(x, y) else []
         else:
             got = []
             for kind, nx, ny in _moves(model, x, y, to):
                 tails = self[nx, ny]
                 if kind is RIGHT:
                     v, e = model.right_exp(x, y)
-                    got.extend(
-                        (here | t[0], t[1][:v] + (t[1][v] + e,) + t[1][v + 1:], kind, t)
-                        for t in tails
-                    )
+                    step = e * self.weights[v]
+                    got.extend((here | t[0], t[1] + step, kind, t) for t in tails)
                 else:
                     got.extend((here | t[0], t[1], kind, t) for t in tails)
         self[key] = got
@@ -707,7 +715,7 @@ def enumerate_paths(model, frm, to, blocked=frozenset()):
     (arc midpoints may pass over blocked points: that is the weak notion)."""
     frm = tuple(frm)
     index = {}
-    records = _SuffixTable(model, to, index)[frm]
+    records = _SuffixTable(model, to, index, _advance_width([frm], [to]))[frm]
     # a blocked point outside the index lies on no path
     avoid = 0
     for pt in blocked:
@@ -725,7 +733,8 @@ def _lgv_walk(model, starts, ends):
     if len(ends) != N:
         raise ValueError("start and end lists must have equal length")
     index = {}
-    suffixes = [_SuffixTable(model, to, index) for to in ends]
+    w = _advance_width(starts, ends)
+    suffixes = [_SuffixTable(model, to, index, w) for to in ends]
     tables = [[suffix[tuple(frm)] for suffix in suffixes] for frm in starts]
     return _grow(tables, 0, 0, 0, [False] * N, [None] * N, [None] * N)
 
@@ -758,16 +767,11 @@ def enumerate_lgv_families(model, starts, ends):
 
 def lgv_signed_sum(model, starts, ends):
     """Brute-force signed sum over weakly non-intersecting families."""
-    zero = (0,) * model.n
-    terms = {}
+    keys = {}
     for chosen, _, inversions in _lgv_walk(model, starts, ends):
-        e = tuple(map(sum, zip(zero, *[r[1] for r in chosen])))
-        c = terms.get(e, 0) + (-1 if inversions & 1 else 1)
-        if c:
-            terms[e] = c
-        elif e in terms:
-            del terms[e]
-    return LaurentPoly(model.n, terms)
+        k = sum(r[1] for r in chosen)
+        keys[k] = keys.get(k, 0) + (-1 if inversions & 1 else 1)
+    return LaurentPoly(model.n, _unpack(keys, model.n, _advance_width(starts, ends)))
 
 
 # ---------------------------------------------------------------------------

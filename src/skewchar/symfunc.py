@@ -18,9 +18,6 @@ class CharacterFamily(Enum):
     O_EVEN = "o"
 
 
-BC_FAMILIES = (CharacterFamily.SP, CharacterFamily.SO_ODD, CharacterFamily.O_EVEN)
-
-
 class DegeneratePointError(ValueError):
     """The Weyl denominator determinant vanished; retry with another point."""
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import LaurentPoly, Partition, SkewShape
+from .core import LaurentPoly, Partition, SkewShape, _key_width, _unpack, _weights
 from .symfunc import CharacterFamily
 
 CIRC, HAT, BAR, PLAIN = range(4)
@@ -83,9 +83,6 @@ class Tableau:
 
     def __repr__(self):
         return "Tableau(%s)" % self.to_text()
-
-    def entry(self, r, c):
-        return self.cells.get((r, c))
 
     def column(self, c):
         """Entries of column c from top to bottom."""
@@ -206,17 +203,12 @@ def _options(family, n, m, r, col1, below, left, above, first):
     return tuple(out)
 
 
-def _key_width(cells):
-    """Digit width w of a packed weight key; every |exponent| <= cells < 2^(w-2)."""
-    return cells.bit_length() + 2
-
-
 def _iter_fillings(family, shape, n, m):
     """Yield (ranks, key) for every valid filling, cells in row-major order.
 
     ranks is a reused buffer with one spare slot, always None, after the
-    cells; key packs the weight's exponents as digits of width w
-    (_key_width), digit v holding 2^(w-1) + exponent v."""
+    cells; key is the weight's exponent vector packed in core's format at
+    digit width _key_width(cells), as no |exponent| exceeds the cells."""
     check_preconditions(family, shape.outer, shape.inner, n, m)
     cap = _max_cells()
     if shape.size() > cap:
@@ -225,16 +217,14 @@ def _iter_fillings(family, shape, n, m):
         )
     cells = shape.cells()
     size = len(cells)
-    w = _key_width(size)
     ranks = [0] * size + [None]
-    key = ((1 << n * w) - 1) // ((1 << w) - 1) << (w - 1)  # 2^(w-1) in every digit
     if not size:
-        yield ranks, key
+        yield ranks, 0
         return
     step = [0] * (4 * n)
-    for v in range(n):
-        step[4 * v + PLAIN] = 1 << (v * w)
-        step[4 * v + BAR] = -(1 << (v * w))
+    for v, weight in enumerate(_weights(n, _key_width(size))):
+        step[4 * v + PLAIN] = weight
+        step[4 * v + BAR] = -weight
     # per cell: the rule's fixed arguments and a getter of (left, above,
     # first) from ranks; an absent neighbour reads the spare None slot
     index = {cell: i for i, cell in enumerate(cells)}
@@ -250,7 +240,7 @@ def _iter_fillings(family, shape, n, m):
     ]
     seen = [{} for _ in cells]  # per cell: (left, above, first) -> options
     last = size - 1
-    keys = [key] * size  # keys[i]: the weight of cells 0..i-1
+    keys = [0] * size  # keys[i]: the weight of cells 0..i-1
     stack = [iter(_options(*fixed[0], *getters[0](ranks)))]
     i = 0
     while stack:
@@ -299,12 +289,7 @@ def character_by_tableaux(family, shape, n, m=0):
     counts = {}
     for _, key in _iter_fillings(family, shape, n, m):
         counts[key] = counts.get(key, 0) + 1
-    w = _key_width(shape.size())
-    mask, bias = (1 << w) - 1, 1 << (w - 1)
-    shifts = range(0, n * w, w)
-    return LaurentPoly(
-        n, {tuple(((key >> s) & mask) - bias for s in shifts): c for key, c in counts.items()}
-    )
+    return LaurentPoly(n, _unpack(counts, n, _key_width(shape.size())))
 
 
 def is_valid_tableau(family, t, n, m=0):

@@ -39,6 +39,19 @@ def test_compute_text(capsys):
     assert capsys.readouterr().out.strip() == "x1 + x1^-1"
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["compute", "--family", "sp", "--shape", "1", "--n", "1"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert capsys.readouterr().out == "x1 + x1^-1\n" * 2
+
+
 def test_compute_all_methods_agree(capsys):
     outs = []
     for meth in ("tableaux", "dual-jt", "jt", "giambelli", "lgv"):

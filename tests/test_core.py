@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -12,6 +13,7 @@ from skewchar import (
     PolyMatrix,
     SkewShape,
 )
+from skewchar import core
 from skewchar.core import partitions_upto
 from conftest import random_poly
 
@@ -123,15 +125,38 @@ def _operand(rng, n_vars, span):
 
 @pytest.mark.parametrize("n_vars", [0, 1, 3, 5])
 def test_mul_matches_tuple_loop(rng, n_vars):
-    # the kernel's digit width changes where max |exponent| crosses 63/64
-    # and 127/128; mixed spans give operands on both sides of a boundary
-    spans = (1, 63, 64, 127, 128, 1200)
+    # the term-pair digit width changes where max |exponent| crosses 31/32,
+    # 63/64 and 127/128; mixed spans give operands on both sides of a boundary
+    spans = (1, 31, 32, 63, 64, 127, 128, 1200)
     for sa in spans:
         for sb in spans:
             for _ in range(3):
                 a, b = _operand(rng, n_vars, sa), _operand(rng, n_vars, sb)
                 assert a * b == tuple_loop_mul(a, b)
                 assert b * a == tuple_loop_mul(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_packed_keys_round_trip(rng, n):
+    # a bound of 2^k - 1 packs at width k + 1 and 2^k at width k + 2; the
+    # targets put both extremes in every digit, so a narrower width misreads
+    for k in (0, 1, 5, 6, 40):
+        for bound in (2**k - 1, 2**k):
+            w = core._key_width(bound)
+            weights = core._weights(n, w)
+            targets = {(bound,) * n, (-bound,) * n}
+            targets |= {tuple(rng.choice((-bound, bound)) for _ in range(n)) for _ in range(8)}
+            targets |= {tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(8)}
+            keys, want = {}, {}
+            for i, t in enumerate(sorted(targets)):
+                # the key of t as the sum of the keys of two vectors adding to t
+                a = tuple(rng.randint(-2 * bound, 2 * bound) for _ in range(n))
+                b = tuple(x - y for x, y in zip(t, a))
+                key = sum(map(mul, a, weights)) + sum(map(mul, b, weights))
+                keys[key] = c = (i % 3 - 1) * 5**i  # every third coefficient 0
+                if c:
+                    want[t] = c
+            assert core._unpack(keys, n, w) == want, (bound, w)
 
 
 def test_mul_edge_cases(rng):

@@ -347,6 +347,17 @@ def test_lgv_single_and_disconnected():
     assert prod == a * b
 
 
+def test_lgv_sum_at_digit_width_steps():
+    # a single row of k cells: k paths, total x-advance k, so the packed
+    # keys' width steps between 31 and 32 and between 63 and 64
+    for k in (31, 32, 63, 64):
+        sh = SkewShape(Partition((k,)))
+        for fam, want in ((F.GL, {(k,): 1}), (F.SP, {(j,): 1 for j in range(-k, k + 1, 2)})):
+            model, starts, ends = model_and_endpoints(fam, sh, 1, 0)
+            got = lgv_signed_sum(model, starts, ends)
+            assert got == character_by_tableaux(fam, sh, 1) == LaurentPoly(1, want), (fam, k)
+
+
 def _reference_lgv_families(model, starts, ends):
     """The weakly non-intersecting families by brute force: per connection,
     the vertex-disjoint tuples of the product of the per-pair path lists,

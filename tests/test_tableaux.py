@@ -174,11 +174,13 @@ def test_enumeration_equals_brute_force():
 
 
 def test_packed_weight_at_its_extremes():
-    # 64 cells, the default cap: one digit spans x^64 .. x^-64
-    row = SkewShape(Partition((64,)))
-    assert character_by_tableaux(F.SP, row, 1, 0) == LaurentPoly(
-        1, {(k,): 1 for k in range(-64, 65, 2)}
-    )
+    # one digit spans x^k .. x^-k; its width steps between 31 and 32 and
+    # between 63 and 64 cells, the default cap
+    for k in (31, 32, 63, 64):
+        row = SkewShape(Partition((k,)))
+        assert character_by_tableaux(F.SP, row, 1, 0) == LaurentPoly(
+            1, {(j,): 1 for j in range(-k, k + 1, 2)}
+        )
     # three digits, each reaching +-|shape| next to its neighbours
     sh = SkewShape(Partition((4,)))
     ch = character_by_tableaux(F.SP, sh, 3, 0)
