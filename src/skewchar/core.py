@@ -702,7 +702,10 @@ class PolyMatrix:
         first popcount(mask) rows and the columns in mask.  The minors of
         size k+1 expand along row k into those of size k, which are then
         dropped: O(2^dim) minors are computed, and at most
-        C(dim, k) + C(dim, k+1) are held at once.
+        C(dim, k) + C(dim, k+1) are held at once.  The top row is expanded
+        first and enters every minor; the bottom row enters only the last
+        level.  Callers put the rows they want expanded first (the sparse,
+        low-degree ones) at the top.
         """
         n = self.dim
         zero = LaurentPoly.zero(self.n_vars)

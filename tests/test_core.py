@@ -294,3 +294,19 @@ def test_determinant_vs_leibniz(rng):
             assert m.determinant() == leibniz(rows, 2)
             swapped = PolyMatrix([rows[1], rows[0]] + rows[2:])
             assert swapped.determinant() == -m.determinant()
+
+
+def test_determinant_of_reversed_rows_and_columns(rng):
+    # J A J, with J the reversal, has the determinant of A: the JT and
+    # Giambelli routes expand their matrices in that order
+    for dim in range(1, 6):
+        for _ in range(6):
+            rows = [
+                [
+                    random_poly(rng, 2, terms=2) if rng.random() < 0.7 else LaurentPoly.zero(2)
+                    for _ in range(dim)
+                ]
+                for _ in range(dim)
+            ]
+            flipped = PolyMatrix([row[::-1] for row in reversed(rows)])
+            assert flipped.determinant() == PolyMatrix(rows).determinant(), rows

@@ -74,9 +74,9 @@ def test_block_cache_is_bounded():
         _dual_jt_cached.cache_clear()
 
 
-def test_wide_hook_block_takes_jt(monkeypatch):
-    # (7,1) is the single hook (6|1): JT of size 2, not dual-JT of size 7,
-    # which made 302 multiplies
+def count_muls(monkeypatch, route, *args):
+    """route(*args) and the number of LaurentPoly multiplies it made, from
+    an empty Giambelli block cache."""
     calls = []
     mul = core.LaurentPoly.__mul__
 
@@ -87,16 +87,36 @@ def test_wide_hook_block_takes_jt(monkeypatch):
     monkeypatch.setattr(core.LaurentPoly, "__mul__", counting_mul)
     _dual_jt_cached.cache_clear()
     try:
-        got = giambelli(F.SP, (7, 1), (), 3, 0)
+        got = route(*args)
     finally:
         _dual_jt_cached.cache_clear()
-    assert len(calls) <= 10, len(calls)
+        monkeypatch.undo()
+    return got, len(calls)
+
+
+def test_wide_hook_block_takes_jt(monkeypatch):
+    # (7,1) is the single hook (6|1): JT of size 2, not dual-JT of size 7,
+    # which made 302 multiplies
+    got, muls = count_muls(monkeypatch, giambelli, F.SP, (7, 1), (), 3, 0)
+    assert muls <= 10, muls
     assert got == jacobi_trudi(F.SP, (7, 1), (), 3, 0)
+
+
+def test_jt_and_giambelli_expand_from_the_bottom_row(monkeypatch):
+    # from the top row down, JT made 30 multiplies here and Giambelli,
+    # with hooks by JT only when b + 1 < a, made 53
+    case = (F.SP, (4, 4, 2, 1), (), 3, 1)
+    by_jt, muls = count_muls(monkeypatch, jacobi_trudi, *case)
+    assert muls < 30, muls
+    by_giambelli, muls = count_muls(monkeypatch, giambelli, *case)
+    assert muls < 53, muls
+    want = character_by_tableaux(F.SP, SkewShape(Partition((4, 4, 2, 1)), Partition()), 3, 1)
+    assert by_jt == by_giambelli == want
 
 
 def test_hook_routes_agree_across_the_rule():
     # both of the paper's determinants for the hook (a|b) = (a+1, 1^b), on
-    # both sides of the rule b + 1 < a that picks between them, so the
+    # both sides of the rule b < a that picks between them, so the
     # route Giambelli skips for a hook stays checked
     for fam in (F.SP, F.SO_ODD, F.O_EVEN):
         for n in (1, 2):
