@@ -10,6 +10,7 @@ where the level is y-base: there one horizontal step per entry height.
 """
 
 from enum import Enum
+from functools import lru_cache
 
 from .core import FrobeniusCoordinates, LaurentPoly, Partition, SkewShape
 from .core import _key_width, _unpack, _weights
@@ -41,6 +42,10 @@ RIGHT, UP, DOWN, DIAG, OHORIZ = (
 _DELTA_KIND = {k.value: k for k in StepKind}
 
 UP_KINDS = (UP, DIAG, OHORIZ)
+
+# cell plans kept at once, one per (shape, layout, path count), see
+# _path_cells; the two round-trip sweeps of the test suite meet 247
+PLAN_CACHE_SIZE = 1024
 
 
 class Layout(Enum):
@@ -146,11 +151,12 @@ class PathModel:
 class Path:
     """A start point plus a step sequence."""
 
-    __slots__ = ("start", "steps")
+    __slots__ = ("start", "steps", "_vertices")
 
     def __init__(self, start, steps=()):
         self.start = (int(start[0]), int(start[1]))
         self.steps = tuple(steps)
+        self._vertices = None  # see vertices
 
     @classmethod
     def from_points(cls, pts):
@@ -163,29 +169,31 @@ class Path:
             steps.append(_DELTA_KIND[delta])
         return cls(pts[0], steps)
 
-    def points(self):
-        pts = [self.start]
-        x, y = self.start
-        for s in self.steps:
-            x, y = x + s.dx, y + s.dy
-            pts.append((x, y))
+    @property
+    def vertices(self):
+        """The points the path visits, start first: vertices[k] is where
+        steps[k] leaves from.  Every reader of the path's geometry zips it
+        with steps; the walk along the steps happens here once, on first
+        read."""
+        pts = self._vertices
+        if pts is None:
+            x, y = self.start
+            pts = [self.start]
+            for s in self.steps:
+                x, y = x + s.dx, y + s.dy
+                pts.append((x, y))
+            pts = self._vertices = tuple(pts)
         return pts
+
+    def points(self):
+        return list(self.vertices)
 
     @property
     def end(self):
-        x, y = self.start
-        for s in self.steps:
-            x, y = x + s.dx, y + s.dy
-        return (x, y)
+        return self.vertices[-1]
 
     def arc_midpoints(self):
-        mids = []
-        x, y = self.start
-        for s in self.steps:
-            if s is OHORIZ:
-                mids.append((x + 1, y))
-            x, y = x + s.dx, y + s.dy
-        return mids
+        return [(x + 1, y) for (x, y), s in zip(self.vertices, self.steps) if s is OHORIZ]
 
     def __eq__(self, other):
         return (
@@ -202,25 +210,19 @@ class Path:
 
     def weight_exps(self, model):
         exps = [0] * model.n
-        x, y = self.start
-        for s in self.steps:
+        for pt, s in zip(self.vertices, self.steps):
             if s is RIGHT:
-                ve = model.right_exp(x, y)
+                ve = model.right_exp(*pt)
                 if ve is None:
-                    raise InvalidFamilyError(
-                        "horizontal step at %r has no weight" % ((x, y),)
-                    )
+                    raise InvalidFamilyError("horizontal step at %r has no weight" % (pt,))
                 exps[ve[0]] += ve[1]
-            x, y = x + s.dx, y + s.dy
         return tuple(exps)
 
     def validate(self, model):
         """Raise InvalidFamilyError unless every step is a legal move of model."""
-        x, y = self.start
-        for s in self.steps:
-            if not model.step_ok(x, y, s):
-                raise InvalidFamilyError("illegal step %s at %r" % (s.name, (x, y)))
-            x, y = x + s.dx, y + s.dy
+        for pt, s in zip(self.vertices, self.steps):
+            if not model.step_ok(*pt, s):
+                raise InvalidFamilyError("illegal step %s at %r" % (s.name, pt))
 
 
 class PathFamily:
@@ -266,33 +268,12 @@ class PathFamily:
                 exps[v] += e
         return LaurentPoly.monomial(exps, self.sign())
 
-    def vertex_map(self):
-        """point -> (path index, position index); raises if vertices collide."""
-        vm = {}
-        for i, p in enumerate(self.paths):
-            for k, pt in enumerate(p.points()):
-                if pt in vm:
-                    raise InvalidFamilyError("paths share the lattice point %r" % (pt,))
-                vm[pt] = (i, k)
-        return vm
-
-    def midpoint_set(self):
-        mids = set()
-        for p in self.paths:
-            mids.update(p.arc_midpoints())
-        return mids
-
     def is_strongly_nonintersecting(self):
-        try:
-            vm = self.vertex_map()
-        except InvalidFamilyError:
-            return False
-        mids = []
-        for p in self.paths:
-            mids.extend(p.arc_midpoints())
-        if len(set(mids)) != len(mids):
-            return False
-        return not (set(mids) & set(vm))
+        """No two paths share a vertex and no arc midpoint is taken twice,
+        by a vertex or by another arc."""
+        taken = [pt for p in self.paths for pt in p.vertices]
+        taken.extend(mid for p in self.paths for mid in p.arc_midpoints())
+        return len(set(taken)) == len(taken)
 
 
 def _roles(pf):
@@ -300,13 +281,13 @@ def _roles(pf):
     and the occupied set: every vertex and every arc midpoint."""
     roles = {}
     for i, p in enumerate(pf.paths):
-        pts = p.points()
-        for k, pt in enumerate(pts):
-            inc = p.steps[k - 1] if k > 0 else None
-            out = p.steps[k] if k < len(p.steps) else None
+        ins = (None,) + p.steps
+        outs = p.steps + (None,)
+        for pt, inc, out in zip(p.vertices, ins, outs):
             roles[pt] = (i, inc, out)
     full = set(roles)
-    full.update(pf.midpoint_set())
+    for p in pf.paths:
+        full.update(p.arc_midpoints())
     return roles, full
 
 
@@ -377,7 +358,8 @@ def model_and_endpoints(family, shape, n, m, N=None, layout=Layout.COLUMNWISE):
 #
 # Both layouts encode an entry as a non-vertical step at the entry's level
 # (PathModel.level): _entry_level and _step_entries are the rule and its
-# inverse, _encode and _decode walk one path with them.
+# inverse, _encode builds and _decode reads one path with them.
+# _path_cells says which cells each path carries, in both directions.
 
 
 def _entry_level(family, entry):
@@ -443,12 +425,43 @@ def _decode(model, path):
     """The entries of path's non-vertical steps in order: the inverse of
     _encode."""
     entries = []
-    x, y = path.start
-    for s in path.steps:
+    for pt, s in zip(path.vertices, path.steps):
         if s.dx:
-            entries.extend(_step_entries(model.family, s, model.level(x, y)))
-        x, y = x + s.dx, y + s.dy
+            entries.extend(_step_entries(model.family, s, model.level(*pt)))
     return entries
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _path_cells(shape, layout, count):
+    """(connection, plan) of the count paths that carry shape's cells:
+    plan[i] lists, in encoding order, the cells path i carries from
+    starts[i] to ends[connection[i]].
+
+    Columnwise, path i carries column i+1 from top to bottom (count may
+    exceed lambda_1: the paths beyond carry nothing).  Hookwise, count is
+    p + q with p and q the Durfee sizes of the outer and inner shapes; path
+    i <= p carries the arm of hook i right to left, and for i > q then the
+    corner and the leg down, and the i-th of the q D paths carries the leg
+    of hook i.
+    """
+    lam, mu = shape.outer, shape.inner
+    lam_c, mu_c = lam.conjugate(), mu.conjugate()
+    if layout is Layout.COLUMNWISE:
+        plan = tuple(
+            tuple((r, c) for r in range(mu_c.part(c) + 1, lam_c.part(c) + 1))
+            for c in range(1, count + 1)
+        )
+        return tuple(range(count)), plan
+    p, q = lam.durfee(), mu.durfee()
+    hooks = []
+    for i in range(1, p + 1):
+        arm = [(i, c) for c in range(lam.part(i), max(i, mu.part(i)), -1)]
+        if i > q:
+            arm += [(r, i) for r in range(i, lam_c.part(i) + 1)]
+        hooks.append(tuple(arm))
+    for i in range(1, q + 1):
+        hooks.append(tuple((r, i) for r in range(mu_c.part(i) + 1, lam_c.part(i) + 1)))
+    return hook_connection(p, q), tuple(hooks)
 
 
 def tableau_to_paths(family, t, n, m=0, N=None, layout=Layout.COLUMNWISE):
@@ -459,28 +472,12 @@ def tableau_to_paths(family, t, n, m=0, N=None, layout=Layout.COLUMNWISE):
     if not tb.is_valid_tableau(family, t, n, m):
         raise InvalidFamilyError("not a valid %s tableau: %s" % (family.name, t.to_text()))
     model, starts, ends = model_and_endpoints(family, t.shape, n, m, N, layout)
-    if layout is Layout.COLUMNWISE:
-        paths = [
-            _encode(model, s, t.column(i), e)
-            for i, (s, e) in enumerate(zip(starts, ends), start=1)
-        ]
-        return PathFamily(model, paths)
-    lam, mu = t.shape.outer, t.shape.inner
-    lam_c, mu_c = lam.conjugate(), mu.conjugate()
-    p, q = lam.durfee(), mu.durfee()
-    cells = t.cells
-    paths = []
-    for i in range(1, p + 1):
-        arm = [cells[(i, c)] for c in range(lam.part(i), max(i, mu.part(i)), -1)]
-        if i <= q:
-            paths.append(_encode(model, starts[i - 1], arm, ends[p + i - 1]))
-        else:
-            hook = arm + [cells[(r, i)] for r in range(i, lam_c.part(i) + 1)]
-            paths.append(_encode(model, starts[i - 1], hook, ends[i - 1]))
-    for i in range(1, q + 1):
-        leg = [cells[(r, i)] for r in range(mu_c.part(i) + 1, lam_c.part(i) + 1)]
-        paths.append(_encode(model, starts[p + i - 1], leg, ends[i - 1]))
-    return PathFamily(model, paths, hook_connection(p, q))
+    connection, plan = _path_cells(t.shape, layout, len(starts))
+    paths = [
+        _encode(model, s, [t.cells[c] for c in cells], ends[j])
+        for s, cells, j in zip(starts, plan, connection)
+    ]
+    return PathFamily(model, paths, connection)
 
 
 def paths_to_tableau(pf):
@@ -533,17 +530,13 @@ def _column_cells(pf):
     inner = Partition(
         sum(1 for c in mu_cols if c >= r) for r in range(1, max(mu_cols, default=0) + 1)
     )
-    cells = {}
-    for i, (skip, es) in enumerate(zip(mu_cols, cols), start=1):
-        for k, e in enumerate(es):
-            cells[(skip + k + 1, i)] = e
-    return SkewShape(outer, inner), cells
+    shape = SkewShape(outer, inner)
+    return shape, _fill(shape, Layout.COLUMNWISE, cols)
 
 
 def _hook_cells(pf):
-    """Shape and cells read off a hookwise family: path i gives the arm of
-    hook i (i <= q) or the whole hook, arm, corner and leg (i > q); the i-th
-    D path gives the leg of hook i."""
+    """Shape and cells read off a hookwise family: the Frobenius coordinates
+    of both shapes from the end points, one hook piece per path."""
     model = pf.model
     top = 2 * model.n + 2 * model.m - 1
     p_count = sum(1 for path in pf.paths if path.start[1] == top)
@@ -561,20 +554,19 @@ def _hook_cells(pf):
     deltas = [path.start[0] - 1 for path in d_paths]
     lam = FrobeniusCoordinates(arms, legs).to_partition() if p_count else Partition()
     mu = FrobeniusCoordinates(gammas, deltas).to_partition() if q_count else Partition()
-    lam_c = lam.conjugate()
-    mu_c = mu.conjugate()
+    shape = SkewShape(lam, mu)
     # a path decodes to one entry per unit of x it advances, so the entries
     # fill the cells the endpoints give exactly
+    return shape, _fill(shape, Layout.HOOKWISE, [_decode(model, path) for path in pf.paths])
+
+
+def _fill(shape, layout, entries):
+    """cell -> entry, with entries[i] the decoded entries of path i placed
+    on the cells _path_cells gives it."""
     cells = {}
-    for i in range(1, p_count + 1):
-        hook = [(i, c) for c in range(lam.part(i), max(i, mu.part(i)), -1)]
-        if i <= q_count:
-            leg = [(r, i) for r in range(mu_c.part(i) + 1, lam_c.part(i) + 1)]
-            cells.update(zip(leg, _decode(model, d_paths[i - 1])))
-        else:
-            hook += [(r, i) for r in range(i, lam_c.part(i) + 1)]
-        cells.update(zip(hook, _decode(model, a_paths[i - 1])))
-    return SkewShape(lam, mu), cells
+    for where, got in zip(_path_cells(shape, layout, len(entries))[1], entries):
+        cells.update(zip(where, got))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +815,7 @@ def reflect_initial_segment(path, d):
 def _family_bbox(pf):
     """(min x, max x, min y, max y) over the family's vertices, or all 0 for
     an empty family."""
-    pts = [pt for p in pf.paths for pt in p.points()] or [(0, 0)]
+    pts = [pt for p in pf.paths for pt in p.vertices] or [(0, 0)]
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     return min(xs), max(xs), min(ys), max(ys)
@@ -924,8 +916,7 @@ def _collect_crossings(pf, roles):
     """o-horizontal steps whose midpoint carries another path's verticals."""
     sites = []
     for i, p in enumerate(pf.paths):
-        x, y = p.start
-        for k, s in enumerate(p.steps):
+        for k, ((x, y), s) in enumerate(zip(p.vertices, p.steps)):
             if s is OHORIZ:
                 mid = (x + 1, y)
                 role = roles.get(mid)
@@ -935,7 +926,6 @@ def _collect_crossings(pf, roles):
                             "crossing at %r is not a double vertical" % (mid,)
                         )
                     sites.append((mid[0] + mid[1], "cross", (i, k, role[0])))
-            x, y = x + s.dx, y + s.dy
     return sites
 
 
@@ -1008,13 +998,7 @@ def _resolve_crossing(pf, site):
     i, k, other = site
     paths = list(pf.paths)
     pts_a = paths[i].points()
-    x, y = paths[i].start
-    d = None
-    for idx, s in enumerate(paths[i].steps):
-        if idx == k:
-            d = x + 1
-            break
-        x, y = x + s.dx, y + s.dy
+    d = pts_a[k][0] + 1
     ka = next(kk for kk, pt in enumerate(pts_a) if pt == (d - 1, d + 1))
     pts_b = paths[other].points()
     kb = next(kk for kk, pt in enumerate(pts_b) if pt == (d, d + 1))

@@ -36,8 +36,7 @@ def ascii_render(pf):
             else:
                 put(x, y, ".")
     for p in pf.paths:
-        x, y = p.start
-        for s in p.steps:
+        for (x, y), s in zip(p.vertices, p.steps):
             if s is RIGHT:
                 put(x, y, "-", 1)
                 put(x, y, "-", 2)
@@ -50,9 +49,8 @@ def ascii_render(pf):
             elif s is OHORIZ:
                 for dx in range(1, 6):
                     put(x, y, "~", dx)
-            x, y = x + s.dx, y + s.dy
-        for pt in p.points():
-            put(pt[0], pt[1], "o")
+        for x, y in p.vertices:
+            put(x, y, "o")
     return "\n".join("".join(r).rstrip() for r in rows if "".join(r).strip())
 
 
@@ -87,9 +85,8 @@ def svg_render(pf, scale=24):
             % (sx(x0), sy(x0 - 1), sx(x1), sy(x1 - 1))
         )
     for p in pf.paths:
-        x, y = p.start
-        for s in p.steps:
-            nx, ny = x + s.dx, y + s.dy
+        pts = p.vertices
+        for (x, y), (nx, ny), s in zip(pts, pts[1:], p.steps):
             if s is OHORIZ:
                 out.append(
                     '<path d="M %d %d Q %d %d %d %d" fill="none" stroke="black" '
@@ -101,13 +98,7 @@ def svg_render(pf, scale=24):
                     '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black" '
                     'stroke-width="2"/>' % (sx(x), sy(y), sx(nx), sy(ny))
                 )
-            x, y = nx, ny
-        out.append(
-            '<circle cx="%d" cy="%d" r="3" fill="black"/>'
-            % (sx(p.start[0]), sy(p.start[1]))
-        )
-        out.append(
-            '<circle cx="%d" cy="%d" r="3" fill="black"/>' % (sx(p.end[0]), sy(p.end[1]))
-        )
+        for x, y in (pts[0], pts[-1]):
+            out.append('<circle cx="%d" cy="%d" r="3" fill="black"/>' % (sx(x), sy(y)))
     out.append("</svg>")
     return "\n".join(out)

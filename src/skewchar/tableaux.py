@@ -84,14 +84,6 @@ class Tableau:
     def __repr__(self):
         return "Tableau(%s)" % self.to_text()
 
-    def column(self, c):
-        """Entries of column c from top to bottom."""
-        return [
-            self.cells[(r, c)]
-            for r in range(1, len(self.shape.outer) + 1)
-            if (r, c) in self.cells
-        ]
-
     def to_text(self):
         rows = []
         for r in range(1, len(self.shape.outer) + 1):
