@@ -308,15 +308,22 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product.  Two nonzero promised operands are multiplied on
-        dominant weights only where that pays (_invariant_mul); any other
-        pair by the term-pair loop (_term_pair_mul), and the result keeps
-        the promise if both had it."""
+        """Product.  A nonzero constant operand scales the other one; two
+        nonzero promised operands are multiplied on dominant weights only
+        where that pays (_invariant_mul); any other pair by the term-pair
+        loop (_term_pair_mul).  The result keeps the promise if both
+        operands had it."""
         if isinstance(other, int):
             return self.scaled(other)
         self._check(other)
         n = self.n_vars
         invariant = self._dom is not None and other._dom is not None
+        for const, rest in ((self, other), (other, self)):
+            c = _constant(const)
+            if c is not None:
+                if invariant:
+                    return _dominant(n, {e: k * c for e, k in rest._dom.items()})
+                return _owning(n, {e: k * c for e, k in rest.terms.items()}, False)
         if invariant and n and self._dom and other._dom:
             small, large = (other, self) if _size(self) > _size(other) else (self, other)
             product = _invariant_mul(n, small, large)
@@ -520,6 +527,17 @@ def _term_pair_mul(n, a, b):
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
     return _unpack(acc, n, w)
+
+
+def _constant(poly):
+    """c if poly is the constant c != 0, read off its stored coefficients
+    (one term, at the zero weight), else None."""
+    stored = poly._stored()
+    if len(stored) == 1:
+        (e, c), = stored.items()
+        if not any(e):
+            return c
+    return None
 
 
 def _size(poly):

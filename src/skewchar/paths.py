@@ -47,6 +47,10 @@ UP_KINDS = (UP, DIAG, OHORIZ)
 # _path_cells; the two round-trip sweeps of the test suite meet 247
 PLAN_CACHE_SIZE = 1024
 
+# legal steps kept at once, one per (model key, point), see _steps_from; a
+# seeded plan of the lgv-paths benchmark meets 616, its whole grid 664
+STEP_CACHE_SIZE = 1024
+
 
 class Layout(Enum):
     COLUMNWISE = "columnwise"
@@ -68,7 +72,7 @@ class NoSiteError(ValueError):
 class PathModel:
     """Step legality, boundary rules and step weights for one family/layout."""
 
-    __slots__ = ("family", "layout", "n", "m", "base", "kinds")
+    __slots__ = ("family", "layout", "n", "m", "base", "kinds", "key")
 
     def __init__(self, family, layout, n, m, base=None):
         if layout is Layout.HOOKWISE and family is CharacterFamily.GL:
@@ -86,6 +90,8 @@ class PathModel:
         elif family is CharacterFamily.O_EVEN:
             kinds.append(OHORIZ)
         self.kinds = tuple(kinds)
+        # plain values, cheap to hash: _steps_from is cached on it
+        self.key = (family.value, layout.value, n, m, self.base)
 
     def __repr__(self):
         return "PathModel(%s, %s, n=%d, m=%d, base=%d)" % (
@@ -573,30 +579,39 @@ def _fill(shape, layout, entries):
 # generating functions and enumeration
 
 
+@lru_cache(maxsize=STEP_CACHE_SIZE)
+def _steps_from(key, x, y):
+    """The steps model.step_ok allows from (x, y), as (kind, nx, ny, exp)
+    in model.kinds order, with exp model.right_exp(x, y) for a horizontal
+    step and None otherwise; key is the model's PathModel.key."""
+    model = PathModel(CharacterFamily(key[0]), Layout(key[1]), *key[2:])
+    return tuple(
+        (kind, x + kind.dx, y + kind.dy, model.right_exp(x, y) if kind is RIGHT else None)
+        for kind in model.kinds
+        if model.step_ok(x, y, kind)
+    )
+
+
 def _moves(model, x, y, to):
-    """The next steps from (x, y) of a path heading for to, as (kind, nx, ny):
-    those model.step_ok allows, less any that overshoot to.
+    """The next steps from (x, y) of a path heading for to, as
+    (kind, nx, ny, exp) (see _steps_from): those model.step_ok allows, less
+    any that overshoot to.
 
     step_ok alone fixes the order of a path's steps: it allows a descent
     only at x <= 0, every ascent lands at x >= 1 and x never decreases, so
     no path descends once it has ascended, nor ascends straight after a
     descent.  For the same reason a path above to is dead once it can no
     longer descend, that is in a columnwise model or at x > 0.
+    _SuffixTable.__missing__ prunes the same way, inline.
     """
     tx, ty = to
     if y > ty and (x > 0 or model.layout is Layout.COLUMNWISE):
         return []
-    out = []
-    for kind in model.kinds:
-        nx, ny = x + kind.dx, y + kind.dy
-        if nx > tx:
-            continue
-        if kind in UP_KINDS and ny > ty:
-            continue
-        if not model.step_ok(x, y, kind):
-            continue
-        out.append((kind, nx, ny))
-    return out
+    return [
+        move
+        for move in _steps_from(model.key, x, y)
+        if move[1] <= tx and (move[2] <= ty or move[0] not in UP_KINDS)
+    ]
 
 
 def _graded_gf(model, frm, to):
@@ -616,13 +631,12 @@ def _graded_from(model, to, memo, x, y):
     if got is not None:
         return got
     acc = {}
-    for kind, nx, ny in _moves(model, x, y, to):
+    for kind, nx, ny, exp in _moves(model, x, y, to):
         shift = 1 if kind is DIAG or kind is OHORIZ else 0
         exps = None
-        if kind is RIGHT:
-            v, e = model.right_exp(x, y)
+        if exp is not None:
             exps = [0] * model.n
-            exps[v] = e
+            exps[exp[0]] = exp[1]
         for k, poly in _graded_from(model, to, memo, nx, ny).items():
             if exps is not None:
                 poly = poly.mul_monomial(exps)
@@ -659,8 +673,8 @@ def _advance_width(starts, ends):
 
 class _SuffixTable(dict):
     """point -> every model-legal path from it to `to`, in enumeration order,
-    as records (vertex mask, weight key at digit width w, first step, tail
-    record); a point is walked on its first lookup.
+    as records (vertex mask, weight key packed with weights, first step,
+    tail record); a point is walked on its first lookup.
 
     Tails are shared, so a table stores each step once.  index maps each
     vertex met to its bit; tables that share it give comparable masks, so
@@ -670,29 +684,27 @@ class _SuffixTable(dict):
 
     __slots__ = ("model", "to", "index", "weights")
 
-    def __init__(self, model, to, index, w):
+    def __init__(self, model, to, index, weights):
         self.model = model
         self.to = tuple(to)
         self.index = index
-        self.weights = _weights(model.n, w)
+        self.weights = weights
 
-    def __missing__(self, key):
-        model, to, index = self.model, self.to, self.index
-        x, y = key
-        here = index.setdefault(key, 1 << len(index))
-        if key == to:
-            got = [(here, 0, None, None)] if model.vertex_ok(x, y) else []
-        else:
-            got = []
-            for kind, nx, ny in _moves(model, x, y, to):
-                tails = self[nx, ny]
-                if kind is RIGHT:
-                    v, e = model.right_exp(x, y)
-                    step = e * self.weights[v]
-                    got.extend((here | t[0], t[1] + step, kind, t) for t in tails)
-                else:
-                    got.extend((here | t[0], t[1], kind, t) for t in tails)
-        self[key] = got
+    def __missing__(self, point):
+        model, (tx, ty), weights = self.model, self.to, self.weights
+        x, y = point
+        here = self.index.setdefault(point, 1 << len(self.index))
+        got = []
+        if x == tx and y == ty:
+            if model.vertex_ok(x, y):
+                got.append((here, 0, None, None))
+        elif y <= ty or (x <= 0 and model.layout is Layout.HOOKWISE):
+            for kind, nx, ny, exp in _steps_from(model.key, x, y):
+                if nx > tx or (ny > ty and kind in UP_KINDS):
+                    continue
+                step = 0 if exp is None else exp[1] * weights[exp[0]]
+                got += [(here | t[0], t[1] + step, kind, t) for t in self[nx, ny]]
+        self[point] = got
         return got
 
 
@@ -707,7 +719,8 @@ def enumerate_paths(model, frm, to, blocked=frozenset()):
     (arc midpoints may pass over blocked points: that is the weak notion)."""
     frm = tuple(frm)
     index = {}
-    records = _SuffixTable(model, to, index, _advance_width([frm], [to]))[frm]
+    weights = _weights(model.n, _advance_width([frm], [to]))
+    records = _SuffixTable(model, to, index, weights)[frm]
     # a blocked point outside the index lies on no path
     avoid = 0
     for pt in blocked:
@@ -718,51 +731,89 @@ def enumerate_paths(model, frm, to, blocked=frozenset()):
 
 
 def _lgv_walk(model, starts, ends):
-    """Every weakly non-intersecting family as (records, connection, number
-    of inversions of the connection), in enumerate_lgv_families's order.
-    The two lists are reused: read them before the next family."""
+    """Every weakly non-intersecting family of N >= 1 paths, in
+    enumerate_lgv_families's order, grouped by its first N-1 paths: see
+    _grow.  The lists it yields are reused: read them before the next
+    group."""
     N = len(starts)
-    if len(ends) != N:
-        raise ValueError("start and end lists must have equal length")
     index = {}
-    w = _advance_width(starts, ends)
-    suffixes = [_SuffixTable(model, to, index, w) for to in ends]
+    weights = _weights(model.n, _advance_width(starts, ends))
+    suffixes = [_SuffixTable(model, to, index, weights) for to in ends]
     tables = [[suffix[tuple(frm)] for suffix in suffixes] for frm in starts]
-    return _grow(tables, 0, 0, 0, [False] * N, [None] * N, [None] * N)
+    return _grow(tables, 0, 0, 0, 0, [False] * N, [None] * (N - 1), [None] * N)
 
 
-def _grow(tables, i, occupied, inversions, used, chosen, sigma):
-    """Complete chosen[:i] (whose vertices are the mask occupied) in every
-    way; start i to end j adds the inversions j makes with the ends used."""
-    if i == len(tables):
-        yield chosen, sigma, inversions
-        return
+def _grow(tables, i, occupied, key, inversions, used, chosen, sigma):
+    """Complete chosen[:i] (whose vertices are the mask occupied and whose
+    weights sum to key) in every way; start i to end j adds the inversions
+    j makes with the ends used, i - (used ends before j).
+
+    Yields (chosen, sigma, occupied, key, inversions, last) once per choice
+    of the first N-1 paths: the one end left goes to the last start, and
+    the group's families complete chosen with each record of last, that
+    start's table to that end, whose mask misses occupied."""
+    final = len(tables) - 1
+    below = 0
     for j, table in enumerate(tables[i]):
         if used[j]:
+            below += 1
             continue
-        more = inversions + sum(used[j + 1:])
-        used[j] = True
+        more = inversions + i - below
         sigma[i] = j
-        for r in table:
-            if not r[0] & occupied:
-                chosen[i] = r
-                yield from _grow(tables, i + 1, occupied | r[0], more, used, chosen, sigma)
+        if i == final:  # N = 1; otherwise the start before yields the groups
+            yield chosen, sigma, occupied, key, more, table
+            continue
+        used[j] = True
+        if i + 1 < final:
+            for r in table:
+                if not r[0] & occupied:
+                    chosen[i] = r
+                    yield from _grow(tables, i + 1, occupied | r[0], key + r[1], more, used, chosen, sigma)
+        else:
+            # the last start takes the one end left, k, and every end after
+            # k is used
+            k = sigma[final] = used.index(False)
+            most = more + final - k
+            last = tables[final][k]
+            for r in table:
+                if not r[0] & occupied:
+                    chosen[i] = r
+                    yield chosen, sigma, occupied | r[0], key + r[1], most, last
         used[j] = False
+
+
+def _check_lengths(starts, ends):
+    if len(ends) != len(starts):
+        raise ValueError("start and end lists must have equal length")
 
 
 def enumerate_lgv_families(model, starts, ends):
     """All weakly non-intersecting families connecting the given points."""
-    for chosen, sigma, _ in _lgv_walk(model, starts, ends):
-        paths = [Path(frm, _steps(r)) for frm, r in zip(starts, chosen)]
-        yield PathFamily(model, paths, list(sigma))
+    _check_lengths(starts, ends)
+    if not starts:
+        yield PathFamily(model, ())
+        return
+    last_start = starts[-1]
+    for chosen, sigma, occupied, _, _, last in _lgv_walk(model, starts, ends):
+        head = [Path(frm, _steps(r)) for frm, r in zip(starts, chosen)]
+        for r in last:
+            if not r[0] & occupied:
+                yield PathFamily(model, head + [Path(last_start, _steps(r))], sigma)
 
 
 def lgv_signed_sum(model, starts, ends):
     """Brute-force signed sum over weakly non-intersecting families."""
+    _check_lengths(starts, ends)
+    if not starts:
+        return LaurentPoly.monomial((0,) * model.n)  # the empty family
     keys = {}
-    for chosen, _, inversions in _lgv_walk(model, starts, ends):
-        k = sum(r[1] for r in chosen)
-        keys[k] = keys.get(k, 0) + (-1 if inversions & 1 else 1)
+    get = keys.get
+    for _, _, occupied, key, inversions, last in _lgv_walk(model, starts, ends):
+        sign = -1 if inversions & 1 else 1
+        for r in last:
+            if not r[0] & occupied:
+                k = key + r[1]
+                keys[k] = get(k, 0) + sign
     return LaurentPoly(model.n, _unpack(keys, model.n, _advance_width(starts, ends)))
 
 

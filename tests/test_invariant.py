@@ -253,6 +253,32 @@ def test_public_constructors_make_no_promise():
         assert poly * complete_pm(2, 1) == tuple_loop_mul(x1, complete_pm(2, 1))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_constant_operand_scales_the_other(n, monkeypatch):
+    # a nonzero constant, promised or not, scales the other operand without
+    # reaching either product kernel; the result keeps the promise exactly
+    # when both operands carry it
+    zero_weight = (0,) * n
+    constants = [LaurentPoly.constant(n, 3), -LaurentPoly.one(n), LaurentPoly(n, {zero_weight: 3})]
+    others = [elementary_pm(2, n), dominant_only(complete_pm(2, n)), untagged(elementary_pm(2, n)),
+              LaurentPoly(n, {tuple(range(1, n + 1)): 5, zero_weight: -2})]
+    want = {(id(c), id(p)): tuple_loop_mul(c, p) for c in constants for p in others + constants}
+
+    def unreachable(*args):
+        raise AssertionError("a constant operand reached a product kernel")
+
+    monkeypatch.setattr(core, "_term_pair_mul", unreachable)
+    monkeypatch.setattr(core, "_invariant_mul", unreachable)
+    assert [c._invariant for c in constants] == [True, True, False]
+    for c in constants:
+        for p in others + constants:
+            for got in (c * p, p * c):
+                assert got == want[id(c), id(p)]
+                assert got._invariant == (c._invariant and p._invariant)
+                if got._invariant:
+                    assert is_invariant(got)
+
+
 def test_kernel_edge_cases():
     one, zero = LaurentPoly.one(3), LaurentPoly.zero(3)
     e2 = elementary_pm(2, 3)

@@ -39,7 +39,9 @@ from skewchar import (
 from skewchar.cli import _monotone_paths, _run_involution, _run_path_lemmas
 from skewchar.core import partitions_upto
 from skewchar.paths import (
+    _moves,
     _path_cells,
+    _steps_from,
     columnwise_endpoints,
     hook_connection,
     hookwise_endpoints,
@@ -274,6 +276,40 @@ def test_walker_routes_agree():
                 assert graded == want, (model, frm, to)
 
 
+def test_step_cache_is_step_ok():
+    # the cached steps from a point are exactly those step_ok allows, with
+    # right_exp's weight on the horizontal one; _moves prunes them per kind
+    # as a path heading for a target must
+    box = [(x, y) for x in range(-8, 10) for y in range(-4, 16)]
+    targets = ((0, 0), (1, 0), (0, 1), (2, 2), (1, -1), (-1, 3), (5, -2))
+    for layout in Layout:
+        for fam in F:
+            if layout is Layout.HOOKWISE and fam is F.GL:
+                continue
+            for n in (1, 2, 3):
+                for m in (0, 1, 2):
+                    for base in (None, 2 * m + 3):
+                        model = PathModel(fam, layout, n, m, base)
+                        for x, y in box:
+                            want = [
+                                (k, x + k.dx, y + k.dy, model.right_exp(x, y) if k is R else None)
+                                for k in StepKind
+                                if model.step_ok(x, y, k)
+                            ]
+                            assert list(_steps_from(model.key, x, y)) == want, (model, x, y)
+                            for dx, dy in targets:
+                                tx, ty = x + dx, y + dy
+                                dead = ty < y and (x > 0 or layout is Layout.COLUMNWISE)
+                                kept = [
+                                    move
+                                    for move in want
+                                    if not dead
+                                    and move[1] <= tx
+                                    and (move[0] not in (U, DG, OH) or move[2] <= ty)
+                                ]
+                                assert list(_moves(model, x, y, (tx, ty))) == kept, (model, x, y, dx, dy)
+
+
 def test_enumerate_paths_blocked_semantics():
     # blocking keeps the unblocked order and drops exactly the paths with a
     # blocked vertex; arc midpoints are not vertices
@@ -425,6 +461,42 @@ def test_lgv_walk_against_reference():
                             for f in want:
                                 total = total + f.signed_weight()
                             assert lgv_signed_sum(model, starts, ends) == total, case
+
+
+def _walk_matches_reference(model, starts, ends):
+    """The families in the reference's order, checked against the walk's
+    enumeration and signed sum."""
+    want = _reference_lgv_families(model, starts, ends)
+    assert list(enumerate_lgv_families(model, starts, ends)) == want
+    total = LaurentPoly.zero(model.n)
+    for f in want:
+        total = total + f.signed_weight()
+    assert lgv_signed_sum(model, starts, ends) == total
+    return want
+
+
+def test_lgv_walk_edge_cases():
+    # no path: the empty family alone, of weight 1
+    for layout in Layout:
+        model, starts, ends = model_and_endpoints(F.SP, SkewShape(Partition()), 2, 1, layout=layout)
+        assert starts == ends == []
+        assert _walk_matches_reference(model, starts, ends) == [PathFamily(model, [])]
+        assert lgv_signed_sum(model, starts, ends) == LaurentPoly.one(2)
+    # one path: the families are the paths from its start to its end
+    for fam, lam, layout in ((F.SO_ODD, (1, 1), Layout.COLUMNWISE), (F.O_EVEN, (3, 1, 1), Layout.HOOKWISE)):
+        model, starts, ends = model_and_endpoints(fam, SkewShape(Partition(lam)), 2, 1, layout=layout)
+        assert len(starts) == 1
+        want = [PathFamily(model, [p]) for p in enumerate_paths(model, starts[0], ends[0])]
+        assert want and _walk_matches_reference(model, starts, ends) == want
+    model = PathModel(F.GL, Layout.COLUMNWISE, 6, 0, base=0)
+    # the last start lies right of every end: no family at all
+    assert _walk_matches_reference(model, [(0, 0), (5, 0)], [(1, 1), (2, 1)]) == []
+    with pytest.raises(ValueError, match="equal length"):
+        lgv_signed_sum(model, [(0, 0)], [])
+    # the last start reaches (4, 1) alone: the groups where the first path
+    # takes it are empty, the others are not
+    got = _walk_matches_reference(model, [(0, 0), (3, 0)], [(4, 1), (1, 1)])
+    assert got and all(f.connection == (1, 0) for f in got)
 
 
 def test_lgv_schur_figure_configuration():
