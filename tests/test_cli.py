@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -298,3 +299,45 @@ def test_python_dash_m_runs_the_cli():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("error: ")
+
+
+def _golden_cases():
+    """The wide-row shape grid of the benchmark (n = 3, 5 <= lambda_1 <= 7,
+    lambda_2 <= 2, mu in {(), (1), (2)}, m <= 1, the BC families) by JT, then
+    three tableaux and three Giambelli cases."""
+    cases = []
+    for fam in ("sp", "so", "o"):
+        for l1 in (5, 6, 7):
+            for l2 in (0, 1, 2):
+                outer = "%d,%d" % (l1, l2) if l2 else str(l1)
+                for mu in ("", "1", "2"):
+                    for m in range(1 if mu else 0, 2):
+                        cases.append((fam, outer + ("/" + mu if mu else ""), "3", str(m), "jt"))
+    cases += [
+        ("sp", "3,1", "2", "0", "tableaux"),
+        ("so", "3,2/1", "2", "1", "tableaux"),
+        ("o", "2,2/1", "3", "1", "tableaux"),
+        ("sp", "6,2/1", "3", "1", "giambelli"),
+        ("so", "4,3,1", "3", "0", "giambelli"),
+        ("o", "5,5,4,2/2,1", "3", "2", "giambelli"),
+    ]
+    return cases
+
+
+def test_compute_output_is_pinned(capsys):
+    # one sha256 over the concatenated stdout of every case, per format;
+    # any change to the order, the spacing or a digit of either form shows
+    digests = {}
+    for fmt in ("text", "json"):
+        h = hashlib.sha256()
+        for fam, shape, n, m, meth in _golden_cases():
+            argv = ["compute", "--family", fam, "--shape", shape, "--n", n, "--m", m,
+                    "--method", meth, "--format", fmt]
+            assert main(argv) == 0
+            h.update(capsys.readouterr().out.encode())
+        digests[fmt] = h.hexdigest()
+    assert len(_golden_cases()) == 114
+    assert digests == {
+        "text": "b99108f02342db8689a48264f402bcab54e9a0f8e670273f3da9ab95bed03fdc",
+        "json": "ed31bbab8c8ce6f7f9150fe8a5c3cf4f6049294244bec51eac4b89147528f452",
+    }

@@ -4,14 +4,17 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewchar import (
+    CharacterFamily,
     FrobeniusCoordinates,
     LaurentPoly,
     NonExactDivisionError,
     Partition,
     PolyMatrix,
     SkewShape,
+    character,
 )
 from skewchar import core
 from skewchar.core import partitions_upto
@@ -228,6 +231,75 @@ def test_text_form():
     assert (x(1) + x(1, -1)).to_text() == "x1 + x1^-1"
     assert LaurentPoly(2, {(-1, 1): -2, (0, 0): 3}).to_text() == "-2*x1^-1*x2 + 3"
     assert LaurentPoly(2, {(1, 0): -1}).to_text() == "-x1"
+
+
+def reference_text(poly):
+    """The text form spelt out plainly, the spec LaurentPoly.to_text must
+    match: the terms by descending total degree, ties in ascending lex,
+    each signed coefficient followed by its factors x<i> or x<i>^<k>."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for i, (e, c) in enumerate(sorted(poly.terms.items(), key=lambda t: (-sum(t[0]), t[0]))):
+        mono = "*".join(
+            "x%d" % (j + 1) if k == 1 else "x%d^%d" % (j + 1, k)
+            for j, k in enumerate(e)
+            if k
+        )
+        mag = abs(c)
+        if mono:
+            body = mono if mag == 1 else "%d*%s" % (mag, mono)
+        else:
+            body = str(mag)
+        if i == 0:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts)
+
+
+COEFFS = st.one_of(st.sampled_from((1, -1)), st.integers(-10**20, 10**20).filter(bool))
+
+
+@st.composite
+def public_polys(draw):
+    """n in 0..3, exponents in -6..6, any number of terms (zero included),
+    a constant term in about half of them."""
+    n = draw(st.integers(0, 3))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-6, 6)] * n), COEFFS, max_size=30))
+    if draw(st.booleans()):
+        terms[(0,) * n] = draw(COEFFS)
+    return LaurentPoly(n, terms)
+
+
+# promised values: the routes' results, expanded from their dominant weights
+CHARACTERS = [
+    (fam, lam, mu, n, m)
+    for fam in ("sp", "so", "o")
+    for lam, mu, m in (((), (), 0), ((2, 1), (), 0), ((3, 2), (1,), 1), ((5,), (2,), 1))
+    for n in (1, 2, 3)
+    if len(lam) <= n + m
+]
+
+
+def promised_values():
+    return st.sampled_from(CHARACTERS).map(
+        lambda case: character(CharacterFamily(case[0]), Partition(case[1]), Partition(case[2]), *case[3:])
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(public_polys(), promised_values()))
+@example(LaurentPoly.zero(0))
+@example(LaurentPoly.zero(3))
+@example(LaurentPoly.constant(0, -1))
+@example(LaurentPoly(2, {(1, -1): 1, (-1, 1): -1, (0, 0): 1, (1, 0): -1, (0, 1): 2}))
+def test_text_form_matches_the_reference(poly):
+    assert poly.to_text() == reference_text(poly)
+    order = poly.sorted_terms()
+    assert dict(order) == poly.terms and len(order) == len(poly.terms)
+    keys = [(-sum(e), e) for e, _ in order]
+    assert keys == sorted(keys)
 
 
 def test_json_roundtrip(rng):
