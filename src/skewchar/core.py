@@ -395,28 +395,30 @@ class LaurentPoly:
     def to_text(self):
         """The canonical text form: the terms in _text_order, each as an
         unsigned coefficient (left out when it is 1 and the term is not
-        constant) and the monomial text of _monomial_text, joined by
-        " + " and " - "; a leading "-" only when the first coefficient is
-        negative, and "0" for the zero polynomial."""
+        constant) and its monomial, the factors x<i> or x<i>^<k> of its
+        nonzero exponents joined by "*"; the terms joined by " + " and
+        " - ", a leading "-" only when the first coefficient is negative,
+        and "0" for the zero polynomial."""
         terms = self.terms
         if not terms:
             return "0"
-        parts = []
-        for e in _text_order(terms):
-            c = terms[e]
-            sign = " + "
-            if c < 0:
-                sign, c = " - ", -c
-            mono = _monomial_text(e)
-            if not mono:
-                parts.append(sign + str(c))
-            elif c == 1:
-                parts.append(sign + mono)
-            else:
-                parts.append("%s%d*%s" % (sign, c, mono))
-        # every part opens with " + " or " - "; the first term's sign loses
-        # its spaces and a "+" is dropped
-        text = "".join(parts)
+        order = _text_order(terms)
+        coeffs = list(map(terms.__getitem__, order))
+        # the terms of a value are distinct but their coefficients and
+        # factors repeat, so each head (" + 3", " - 1") and each factor
+        # ("*x2^-3", "" for a zero exponent) is formatted once, in a dict,
+        # and the terms are built column by column from lookups
+        heads = {c: (" + %d" if c > 0 else " - %d") % abs(c) for c in set(coeffs)}
+        columns = []
+        for j, ks in enumerate(zip(*order), 1):
+            factors = {k: "*x%d^%d" % (j, k) for k in set(ks)}
+            factors[0], factors[1] = "", "*x%d" % j
+            columns.append(map(factors.__getitem__, ks))
+        monomials = map("".join, zip(*columns)) if columns else repeat("")
+        # " 1*" only occurs as a coefficient 1 before a monomial, which is
+        # left out; every term opens with " + " or " - ", and the first
+        # term's sign loses its spaces and a "+" is dropped
+        text = "".join(map(add, map(heads.__getitem__, coeffs), monomials)).replace(" 1*", " ")
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     __str__ = to_text
@@ -442,43 +444,12 @@ class LaurentPoly:
         return cls(n_vars, {e: c for e, c in out.items() if c})
 
 
-# monomial texts kept at once, one per exponent vector, see _monomial_text;
-# the outputs of perfbench's whole wide-row grid hold 1,123 distinct
-# monomials (its seed-4 plan meets all of them), those of acceptance
-# criterion 1 by JT 819
-MONOMIAL_CACHE_SIZE = 4096
-
-
 def _text_order(terms):
     """The exponent vectors of terms in the order of the text form:
     descending total degree, ties broken by ascending lex on exponents, so
-    `x1 + x1^-1` and `-2*x1^-1*x2 + 3`.  The vectors are grouped by degree
-    and each group is sorted as plain tuples, with no key call per term."""
-    by_degree = {}
-    for e in terms:
-        d = sum(e)
-        group = by_degree.get(d)
-        if group is None:
-            by_degree[d] = [e]
-        else:
-            group.append(e)
-    order = []
-    for d in sorted(by_degree, reverse=True):
-        group = by_degree[d]
-        group.sort()
-        order += group
-    return order
-
-
-@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
-def _monomial_text(e):
-    """The text of the monomial with exponent vector e: its factors x<i> or
-    x<i>^<k> for the nonzero exponents, joined by "*"; "" for e = 0."""
-    factors = []
-    for j, k in enumerate(e, 1):
-        if k:
-            factors.append("x%d" % j if k == 1 else "x%d^%d" % (j, k))
-    return "*".join(factors)
+    `x1 + x1^-1` and `-2*x1^-1*x2 + 3`.  The second sort is stable, so it
+    keeps the lex order within each degree."""
+    return sorted(sorted(terms), key=sum, reverse=True)
 
 
 def _owning(n_vars, terms, invariant):

@@ -258,7 +258,8 @@ def reference_text(poly):
     return "".join(parts)
 
 
-COEFFS = st.one_of(st.sampled_from((1, -1)), st.integers(-10**20, 10**20).filter(bool))
+# +-1 are left out before a monomial; 11, -21 and 101 end in the digit 1 but are kept
+COEFFS = st.one_of(st.sampled_from((1, -1, 11, -21, 101)), st.integers(-10**20, 10**20).filter(bool))
 
 
 @st.composite
@@ -294,6 +295,7 @@ def promised_values():
 @example(LaurentPoly.zero(3))
 @example(LaurentPoly.constant(0, -1))
 @example(LaurentPoly(2, {(1, -1): 1, (-1, 1): -1, (0, 0): 1, (1, 0): -1, (0, 1): 2}))
+@example(LaurentPoly(2, {(1, 0): 11, (0, 1): -21, (0, 0): 1, (-1, 0): 101, (0, -1): -1}))
 def test_text_form_matches_the_reference(poly):
     assert poly.to_text() == reference_text(poly)
     order = poly.sorted_terms()
