@@ -55,10 +55,7 @@ def dual_jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
-    if N is None:
-        N = lam.first()
-    if N < lam.first():
-        raise ValueError("lambda_1 <= N fails: %d > %d" % (lam.first(), N))
+    N = tb.matrix_size(N, lam.first(), "lambda_1")
     lc, mc = lam.conjugate(), mu.conjugate()
     e = elementary_plain if family is CharacterFamily.GL else elementary_pm
     twist = _DUAL_JT_TWIST.get(family)
@@ -86,10 +83,7 @@ def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
     doubled alphabet (plain alphabet for the general linear family)."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
-    if N is None:
-        N = lam.length()
-    if N < lam.length():
-        raise ValueError("l(lambda) <= N fails: %d > %d" % (lam.length(), N))
+    N = tb.matrix_size(N, lam.length(), "l(lambda)")
     h = complete_plain if family is CharacterFamily.GL else complete_pm
     twist = _JT_TWIST.get(family)
     rows = []

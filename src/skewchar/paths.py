@@ -51,10 +51,6 @@ PLAN_CACHE_SIZE = 1024
 # seeded plan of the lgv-paths benchmark meets 616, its whole grid 664
 STEP_CACHE_SIZE = 1024
 
-# path models kept at once, one per PathModel.key, see _model; the whole
-# lgv-paths grid of the benchmark meets 23
-MODEL_CACHE_SIZE = 128
-
 
 class Layout(Enum):
     COLUMNWISE = "columnwise"
@@ -348,10 +344,7 @@ def hook_connection(p, q):
 
 def model_and_endpoints(family, shape, n, m, N=None, layout=Layout.COLUMNWISE):
     if layout is Layout.COLUMNWISE:
-        if N is None:
-            N = shape.outer.first()
-        if N < shape.outer.first():
-            raise ValueError("lambda_1 <= N fails: %d > %d" % (shape.outer.first(), N))
+        N = tb.matrix_size(N, shape.outer.first(), "lambda_1")
         base = 2 * shape.inner.length() if family is CharacterFamily.GL else 2 * m
         model = PathModel(family, layout, n, m, base)
         starts, ends = columnwise_endpoints(family, shape, n, m, N)
@@ -583,18 +576,12 @@ def _fill(shape, layout, entries):
 # generating functions and enumeration
 
 
-@lru_cache(maxsize=MODEL_CACHE_SIZE)
-def _model(key):
-    """The PathModel whose PathModel.key is key, built once per key."""
-    return PathModel(CharacterFamily(key[0]), Layout(key[1]), *key[2:])
-
-
 @lru_cache(maxsize=STEP_CACHE_SIZE)
 def _steps_from(key, x, y):
     """The steps model.step_ok allows from (x, y), as (kind, nx, ny, exp)
     in model.kinds order, with exp model.right_exp(x, y) for a horizontal
     step and None otherwise; key is the model's PathModel.key."""
-    model = _model(key)
+    model = PathModel(CharacterFamily(key[0]), Layout(key[1]), *key[2:])
     return tuple(
         (kind, x + kind.dx, y + kind.dy, model.right_exp(x, y) if kind is RIGHT else None)
         for kind in model.kinds

@@ -123,25 +123,43 @@ def _max_cells():
     return cap
 
 
-def check_preconditions(family, lam, mu, n, m):
-    """Reject input outside every route's domain: negative n or m, mu not
-    inside lambda, or too many rows for the n (and m) available."""
+def domain_error(family, lam, mu, n, m):
+    """The message of the first condition of every route's domain that the
+    input fails, or None inside it: n, m >= 0, mu inside lambda, and rows
+    the tableau alphabet can fill, l(lambda) <= n for the general linear
+    family (which has no m), l(mu) <= m and l(lambda) <= n+m otherwise."""
     if n < 0:
-        raise ValueError("n >= 0 fails: %d < 0" % n)
+        return "n >= 0 fails: %d < 0" % n
     if m < 0:
-        raise ValueError("m >= 0 fails: %d < 0" % m)
+        return "m >= 0 fails: %d < 0" % m
     if not lam.contains(mu):
-        raise ValueError(
-            "mu <= lambda fails: %r not contained in %r" % (mu.parts, lam.parts)
-        )
+        return "mu <= lambda fails: %r not contained in %r" % (mu.parts, lam.parts)
     if family is CharacterFamily.GL:
         if lam.length() > n:
-            raise ValueError("l(lambda) <= n fails: %d > %d" % (lam.length(), n))
-        return
+            return "l(lambda) <= n fails: %d > %d" % (lam.length(), n)
+        return None
     if mu.length() > m:
-        raise ValueError("l(mu) <= m fails: %d > %d" % (mu.length(), m))
+        return "l(mu) <= m fails: %d > %d" % (mu.length(), m)
     if lam.length() > n + m:
-        raise ValueError("l(lambda) <= n+m fails: %d > %d" % (lam.length(), n + m))
+        return "l(lambda) <= n+m fails: %d > %d" % (lam.length(), n + m)
+    return None
+
+
+def check_preconditions(family, lam, mu, n, m):
+    """Reject input outside every route's domain (see domain_error)."""
+    error = domain_error(family, lam, mu, n, m)
+    if error:
+        raise ValueError(error)
+
+
+def matrix_size(N, least, name):
+    """The size N of a determinant or path configuration, least when N is
+    None; raises unless N >= least, the value named name."""
+    if N is None:
+        return least
+    if N < least:
+        raise ValueError("%s <= N fails: %d > %d" % (name, least, N))
+    return N
 
 
 def _row_min_rank(family, r, m):

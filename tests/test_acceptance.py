@@ -11,6 +11,7 @@ import os
 from skewchar import (
     CharacterFamily,
     Method,
+    Partition,
     SkewShape,
     character,
     count_tableaux,
@@ -27,8 +28,8 @@ from skewchar.cli import (
     _run_reflection,
     _run_weyl,
     _weyl_cases,
+    domain_cases,
 )
-from skewchar.core import partitions_upto
 from conftest import partitions_in_box
 
 F, M = CharacterFamily, Method
@@ -90,26 +91,20 @@ def test_criterion_6_weyl_reduction():
 
 def test_criterion_7_dimension_symmetry_sanity():
     failures = []
-    for lam in partitions_upto(5):
-        for mu in partitions_upto(lam.size()):
-            if not lam.contains(mu) or mu.length() > 2:
-                continue
-            sh = SkewShape(lam, mu)
-            for fam in (F.SP, F.SO_ODD, F.O_EVEN):
-                for n in (1, 2):
-                    for m in range(mu.length(), 3):
-                        if lam.length() > n + m:
-                            continue
-                        ch = character(fam, lam, mu, n, m, M.DUAL_JT)
-                        if ch.eval_at([1] * n) != count_tableaux(fam, sh, n, m):
-                            failures.append(("dimension", fam.value, lam.parts, mu.parts, n, m))
-                        if ch.bar() != ch:
-                            failures.append(("bar", fam.value, lam.parts, mu.parts, n, m))
-                        for extra in (1, 2):
-                            if dual_jacobi_trudi(fam, lam, mu, n, m, lam.first() + extra) != ch:
-                                failures.append(
-                                    ("N-independence", fam.value, lam.parts, mu.parts, n, m)
-                                )
+    cases = domain_cases(5, (1, 2), (0, 2), (F.SP, F.SO_ODD, F.O_EVEN))
+    print("cases: %d" % len(cases))
+    for case in cases:
+        fam_tag, lam_parts, mu_parts, n, m = case
+        fam, lam, mu = F(fam_tag), Partition(lam_parts), Partition(mu_parts)
+        sh = SkewShape(lam, mu)
+        ch = character(fam, lam, mu, n, m, M.DUAL_JT)
+        if ch.eval_at([1] * n) != count_tableaux(fam, sh, n, m):
+            failures.append(("dimension",) + case)
+        if ch.bar() != ch:
+            failures.append(("bar",) + case)
+        for extra in (1, 2):
+            if dual_jacobi_trudi(fam, lam, mu, n, m, lam.first() + extra) != ch:
+                failures.append(("N-independence",) + case)
     _report(7, "all-ones dimension, bar symmetry, N-independence", failures)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import skewchar
 from skewchar import LaurentPoly, Partition, character, CharacterFamily, Method
 from skewchar import cli
-from skewchar.cli import SUITES, ContainmentError, ParseError, main, parse_shape
+from skewchar.cli import SUITES, ParseError, main, parse_shape
+from skewchar.core import partitions_upto
 
 
 def test_parse_shape_examples():
@@ -30,7 +34,7 @@ def test_parse_shape_errors():
     assert err.value.position == 2
     with pytest.raises(ParseError):
         parse_shape("a,1")
-    with pytest.raises(ContainmentError):
+    with pytest.raises(ValueError, match=r"inner \(3,\) not contained in outer \(2, 1\)"):
         parse_shape("2,1/3")
 
 
@@ -341,3 +345,109 @@ def test_compute_output_is_pinned(capsys):
         "text": "b99108f02342db8689a48264f402bcab54e9a0f8e670273f3da9ab95bed03fdc",
         "json": "ed31bbab8c8ce6f7f9150fe8a5c3cf4f6049294244bec51eac4b89147528f452",
     }
+
+
+def test_verify_output_is_pinned(capsys):
+    # the whole stdout of every suite at two settings: a case added, lost or
+    # renamed shows
+    pins = {
+        ("4", "0..2", "0..2"): (2290, "df11c9dd43495432ba896f6e1698cc0cc9962627bc488d9839dacebc69d9fc14"),
+        ("5", "1..3", "1..2"): (3276, "596746d665fe41633ccceefcb6f3c1f7423c985337cb189f0553849f46794013"),
+    }
+    for (cells, n, m), (checked, digest) in pins.items():
+        assert main(["verify", "--suite", "all", "--max-cells", cells, "--n", n, "--m", m]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("checked=%d passed=%d failed=0\n" % (checked, checked))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the argv grammar of every command at small sizes, malformed tokens included
+_SMALL_SHAPES = [",".join(map(str, lam.parts)) for lam in partitions_upto(5)]
+_BAD_SHAPES = ["2//1", "1,2", "a", "2/3", "", "0", "3,0", "/1", "2,1/1,1,1"]
+
+
+def _shapes():
+    inner = st.sampled_from(["", "/", "/0", "/1", "/2", "/1,1", "/3"])
+    return st.one_of(
+        st.builds(lambda o, i: o + i, st.sampled_from(_SMALL_SHAPES), inner),
+        st.sampled_from(_BAD_SHAPES),
+    )
+
+
+def _opt(flag, values):
+    """flag with one of values, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _shape_args():
+    return st.tuples(
+        st.sampled_from(sorted(cli.FAMILIES) + ["bogus"]).map(lambda f: ["--family", f]),
+        _shapes().map(lambda s: ["--shape", s]),
+        st.integers(-1, 3).map(lambda n: ["--n", str(n)]),
+        _opt("--m", st.integers(-1, 2)),
+    ).map(lambda parts: sum(parts, []))
+
+
+def _ranges(lo, hi):
+    value = st.integers(lo, hi)
+    return st.one_of(
+        value.map(str),
+        st.tuples(value, value).map(lambda r: "%d..%d" % r),
+        st.sampled_from(["2..1", "a", "1..", ""]),
+    )
+
+
+def _argvs(out):
+    compute = st.tuples(
+        st.just(["compute"]),
+        _shape_args(),
+        _opt("--method", st.sampled_from(sorted(cli.METHODS) + ["bogus"])),
+        _opt("--N", st.integers(-1, 6)),
+        _opt("--format", st.sampled_from(["text", "json"])),
+    )
+    count = st.tuples(st.just(["count"]), _shape_args())
+    paths = st.tuples(
+        st.just(["paths"]),
+        _shape_args(),
+        _opt("--layout", st.sampled_from(["columnwise", "hookwise"])),
+        _opt("--render", st.sampled_from(["ascii", "svg"])),
+        _opt("--N", st.integers(-1, 6)),
+        # a limit keeps the files written few; 0 would write every tableau
+        st.sampled_from([-1, 1, 2, 3]).map(lambda v: ["--limit", str(v)]),
+        st.just(["--out", out]),
+    )
+    verify = st.tuples(
+        st.just(["verify"]),
+        _opt("--suite", st.sampled_from(SUITES + ("all", "bogus"))),
+        st.integers(-1, 3).map(lambda v: ["--max-cells", str(v)]),
+        _opt("--n", _ranges(-1, 3)),
+        _opt("--m", _ranges(-1, 2)),
+        # at most one worker, so no process pool starts
+        _opt("--jobs", st.integers(-1, 1)),
+        _opt("--seed", st.integers(0, 3)),
+    )
+    return st.one_of(compute, count, paths, verify).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_contract_fuzz(tmp_path, data):
+    # every argv exits 0 or 2, never 1 (a failed check) or 3 (an internal
+    # error); an exit 2 leaves one "error: ..." line or argparse's usage
+    argv = data.draw(_argvs(str(tmp_path / "fam")), label="argv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+            assert rc == 2, (argv, err.getvalue())
+            assert err.getvalue().startswith("usage: skewchar"), (argv, err.getvalue())
+            assert ": error: " in err.getvalue(), (argv, err.getvalue())
+            return
+    assert rc in (0, 2), (argv, err.getvalue())
+    if rc == 2:
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())

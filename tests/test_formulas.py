@@ -144,7 +144,7 @@ def test_every_cache_is_bounded():
             if callable(getattr(value, "cache_parameters", None)):
                 cached["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
     assert {"symfunc._e_table", "symfunc._h_table", "formulas._dual_jt_cached",
-            "core._candidates", "core._orbit", "paths._steps_from", "paths._model"} <= set(cached)
+            "core._candidates", "core._orbit", "paths._steps_from"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded, unbounded
 
