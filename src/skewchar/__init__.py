@@ -1,12 +1,17 @@
-"""Exact computation of skew symplectic and orthogonal characters by four
+"""Exact computation of skew symplectic and orthogonal characters by five
 independent routes: tableau enumeration, nonintersecting lattice paths,
-dual/ordinary Jacobi-Trudi determinants and Giambelli block determinants.
+dual Jacobi-Trudi, Jacobi-Trudi and Giambelli block determinants.
+
+Both Jacobi-Trudi determinants read one entry rule each from symfunc, with
+one (k, t) per family (sp (2, -1), so (1, 1), o (0, 1); the general linear
+family has t = 0 on the plain alphabet):
+dual-JT entry (i, j) is E(lambda'_i - i + 1, mu'_j - j + 1), and JT entry
+(i, j) is H(j - mu_j, i - lambda_i) without its sign.
 """
 
 from .core import (
     FrobeniusCoordinates,
     LaurentPoly,
-    NonExactDivisionError,
     Partition,
     PolyMatrix,
     SkewShape,
@@ -72,7 +77,6 @@ __all__ = [
     "MalformedFamilyError",
     "Method",
     "NoSiteError",
-    "NonExactDivisionError",
     "Partition",
     "Path",
     "PathFamily",

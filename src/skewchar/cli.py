@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import LaurentPoly, NonExactDivisionError, Partition, SkewShape, partitions_upto
+from .core import LaurentPoly, Partition, SkewShape, partitions_upto
 from .formulas import Method, character
 from .paths import (
     Layout,
@@ -505,7 +505,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NonExactDivisionError, MalformedFamilyError) as exc:
+    except MalformedFamilyError as exc:
         sys.stderr.write("internal invariant failure: %s\n" % exc)
         return 3
     except (ValueError, OSError) as exc:

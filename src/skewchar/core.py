@@ -15,10 +15,6 @@ from math import comb, factorial
 from operator import add, ge, mul
 
 
-class NonExactDivisionError(ArithmeticError):
-    """A coefficient was not divisible by the requested integer."""
-
-
 class Partition:
     """A weakly decreasing sequence of positive integers (possibly empty)."""
 
@@ -350,21 +346,6 @@ class LaurentPoly:
                 for e, c in self.terms.items()
             },
         )
-
-    def div_exact_int(self, d):
-        """Divide every coefficient by d, which must divide exactly."""
-        d = int(d)
-        if d == 0:
-            raise ZeroDivisionError("division by zero")
-        coeffs = {}
-        for e, c in self._stored().items():
-            q, r = divmod(c, d)
-            if r:
-                raise NonExactDivisionError(
-                    "coefficient %d not divisible by %d" % (c, d)
-                )
-            coeffs[e] = q
-        return self._like(coeffs)
 
     def eval_at(self, point):
         """Exact rational value at a point of nonzero rationals."""

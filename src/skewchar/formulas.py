@@ -11,11 +11,14 @@ from .core import LaurentPoly, Partition, PolyMatrix, SkewShape
 from . import paths as pth
 from . import tableaux as tb
 from .symfunc import (
+    TWIST,
     CharacterFamily,
     complete_plain,
     complete_pm,
+    e_entry,
     elementary_plain,
     elementary_pm,
+    h_entry,
 )
 
 
@@ -31,72 +34,42 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
-# Each determinant entry is e_r (dual-JT) or h_r (JT) of the doubled
-# alphabet plus one family twist term; the general linear family has no twist
-# and uses the plain alphabet.  Dual-JT twist: sign * e_{l'_i + m'_j - i - j
-# - 2m + off}.  JT twist: sign * h_{l_i - i - j + 2m + off}, in the columns
-# j > m + threshold only.
-_DUAL_JT_TWIST = {
-    CharacterFamily.SP: (-1, 0),
-    CharacterFamily.SO_ODD: (1, 1),
-    CharacterFamily.O_EVEN: (1, 2),
-}
-_JT_TWIST = {
-    CharacterFamily.SP: (1, 2, 1),
-    CharacterFamily.SO_ODD: (1, 1, 0),
-    CharacterFamily.O_EVEN: (-1, 0, 0),
-}
+# Both routes are minors of symfunc's pair E, E^-1 = H, with the family's
+# (k, t) from symfunc.TWIST; JT's matrix is the complementary minor of
+# dual-JT's (Jacobi's theorem).  For o at m = l(mu) the E bound leaves
+# dual-JT's first column untwisted, so neither route divides.
 
 
 def dual_jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
-    """N x N determinant in elementary symmetric polynomials of the doubled
-    alphabet (plain alphabet for the general linear family); for the even
-    orthogonal family the determinant is divided by 2 exactly when m = l(mu).
-    """
+    """N x N determinant of the entries E(lambda'_i - i + 1, mu'_j - j + 1)
+    in elementary symmetric polynomials of the doubled alphabet (plain
+    alphabet for the general linear family)."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     N = tb.matrix_size(N, lam.first(), "lambda_1")
     lc, mc = lam.conjugate(), mu.conjugate()
     e = elementary_plain if family is CharacterFamily.GL else elementary_pm
-    twist = _DUAL_JT_TWIST.get(family)
-    rows = []
-    for i in range(1, N + 1):
-        row = []
-        for j in range(1, N + 1):
-            entry = e(lc.part(i) - mc.part(j) - i + j, n)
-            if twist:
-                sign, off = twist
-                extra = e(lc.part(i) + mc.part(j) - i - j - 2 * m + off, n)
-                entry = entry + extra.scaled(sign)
-            row.append(entry)
-        rows.append(row)
-    det = PolyMatrix(rows, n).determinant()
-    # the halving argument doubles the first column, which needs N >= 1;
-    # the empty determinant is already the character of the empty shape
-    if family is CharacterFamily.O_EVEN and m == mu.length() and N >= 1:
-        det = det.div_exact_int(2)
-    return det
+    k, t = TWIST[family]
+    rows = [
+        [e_entry(lc.part(i) - i + 1, mc.part(j) - j + 1, m, k, t, n, e) for j in range(1, N + 1)]
+        for i in range(1, N + 1)
+    ]
+    return PolyMatrix(rows, n).determinant()
 
 
 def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
-    """N x N determinant in complete homogeneous symmetric polynomials of the
-    doubled alphabet (plain alphabet for the general linear family)."""
+    """N x N determinant of the unsigned entries H(j - mu_j, i - lambda_i) in
+    complete homogeneous symmetric polynomials of the doubled alphabet (plain
+    alphabet for the general linear family)."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     N = tb.matrix_size(N, lam.length(), "l(lambda)")
     h = complete_plain if family is CharacterFamily.GL else complete_pm
-    twist = _JT_TWIST.get(family)
-    rows = []
-    for i in range(1, N + 1):
-        row = []
-        for j in range(1, N + 1):
-            entry = h(lam.part(i) - mu.part(j) - i + j, n)
-            if twist and j > m + twist[2]:
-                sign, off, _ = twist
-                extra = h(lam.part(i) - i - j + 2 * m + off, n)
-                entry = entry + extra.scaled(sign)
-            row.append(entry)
-        rows.append(row)
+    k, t = TWIST[family]
+    rows = [
+        [h_entry(j - mu.part(j), i - lam.part(i), m, k, t, n, h) for j in range(1, N + 1)]
+        for i in range(1, N + 1)
+    ]
     return _det_bottom_up(rows, n)
 
 
@@ -158,7 +131,7 @@ def giambelli(family, lam, mu=Partition(), n=1, m=0):
     characters (a_i|b_j), each by JT of size b_j+1 when b_j < a_i and
     by dual-JT of size a_i+1 otherwise (_dual_jt_cached), the single rows
     (a_i)/(g_j) by JT (h_{a-g}), the single columns (1^{b_j+1})/(1^{d_i+1})
-    by dual-JT (e_{b-d} plus the family twist) and a q x q zero block.
+    by dual-JT (the entry E(b+1, d+1)) and a q x q zero block.
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)

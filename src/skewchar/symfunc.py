@@ -208,36 +208,53 @@ def weyl_eval(family, lam, point):
     return factor * _rational_det(num) / d
 
 
+# The paper's dual and ordinary Jacobi-Trudi determinants are complementary
+# minors of one lower-unitriangular pair E, E^-1 = H (Jacobi's theorem,
+# Macdonald I.2), fixed per family by (k, t):
+#   E(a, b) = e_{a-b} + [b < m + ceil(k/2)] t e_{a+b-2m-k}
+#   H(r, c) = (-1)^{r-c} (h_{r-c} - [r > m + floor(k/2)] (-1)^k t h_{2m-r-c+k})
+# The general linear family has t = 0 and reads the plain alphabet.
+TWIST = {
+    CharacterFamily.GL: (0, 0),
+    CharacterFamily.SP: (2, -1),
+    CharacterFamily.SO_ODD: (1, 1),
+    CharacterFamily.O_EVEN: (0, 1),
+}
+
+
+def e_entry(a, b, m, k, t, n, e=elementary_pm):
+    """E(a, b): e_{a-b} plus the twist t e_{a+b-2m-k} in the columns
+    b < m + ceil(k/2); e is the alphabet's e_r."""
+    entry = e(a - b, n)
+    if t and b < m + -(-k // 2):
+        entry = entry + e(a + b - 2 * m - k, n).scaled(t)
+    return entry
+
+
+def h_entry(r, c, m, k, t, n, h=complete_pm):
+    """H(r, c) without its sign (-1)^{r-c}: h_{r-c} minus the twist
+    (-1)^k t h_{2m-r-c+k} in the rows r > m + floor(k/2); h is the
+    alphabet's h_r."""
+    entry = h(r - c, n)
+    if t and r > m + k // 2:
+        entry = entry + h(2 * m - r - c + k, n).scaled(t if k & 1 else -t)
+    return entry
+
+
 def build_E_matrix(N, m, k, t, n):
-    """N x N lower-unitriangular matrix e_{i-j} + [j < m + ceil(k/2)] t e_{i+j-2m-k},
-    entries over the doubled alphabet."""
-    bound = m + -(-k // 2)
-    rows = []
-    for i in range(1, N + 1):
-        row = []
-        for j in range(1, N + 1):
-            entry = elementary_pm(i - j, n)
-            if j < bound and t:
-                entry = entry + elementary_pm(i + j - 2 * m - k, n).scaled(t)
-            row.append(entry)
-        rows.append(row)
+    """N x N lower-unitriangular matrix E(i, j), i, j = 1..N, over the doubled
+    alphabet."""
+    rows = [[e_entry(i, j, m, k, t, n) for j in range(1, N + 1)] for i in range(1, N + 1)]
     return PolyMatrix(rows, n)
 
 
 def build_H_matrix(N, m, k, t, n):
-    """N x N lower-unitriangular inverse of build_E_matrix:
-    (-1)^{i-j} (h_{i-j} - [i > m + floor(k/2)] (-1)^k t h_{2m-i-j+k})."""
-    bound = m + (k // 2)
-    sk = -1 if k & 1 else 1
+    """N x N lower-unitriangular inverse H(i, j) of build_E_matrix."""
     rows = []
     for i in range(1, N + 1):
         row = []
         for j in range(1, N + 1):
-            entry = complete_pm(i - j, n)
-            if i > bound and t:
-                entry = entry - complete_pm(2 * m - i - j + k, n).scaled(sk * t)
-            if (i - j) & 1:
-                entry = -entry
-            row.append(entry)
+            entry = h_entry(i, j, m, k, t, n)
+            row.append(-entry if (i - j) & 1 else entry)
         rows.append(row)
     return PolyMatrix(rows, n)

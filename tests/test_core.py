@@ -10,7 +10,6 @@ from skewchar import (
     CharacterFamily,
     FrobeniusCoordinates,
     LaurentPoly,
-    NonExactDivisionError,
     Partition,
     PolyMatrix,
     SkewShape,
@@ -208,14 +207,6 @@ def test_eval_examples():
     assert p.eval_at([2, 3]) == Fraction(9, 2)
     with pytest.raises(ValueError):
         p.eval_at([0, 1])
-
-
-def test_div_exact():
-    p = LaurentPoly(1, {(1,): 2, (-1,): 2})
-    assert p.div_exact_int(2) == x(1) + x(1, -1)
-    assert p.div_exact_int(1) == p
-    with pytest.raises(NonExactDivisionError):
-        (x(1) + LaurentPoly.one(1)).div_exact_int(2)
 
 
 def test_bar_involution():

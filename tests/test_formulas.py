@@ -194,8 +194,9 @@ def test_empty_shape_every_n():
             assert dual_jacobi_trudi(fam, (), (), 1, 0, N) == LaurentPoly.one(1)
 
 
-def test_even_orthogonal_division_is_exact():
-    # all coefficients of the raw determinant are even whenever m = l(mu)
+def test_even_orthogonal_first_column_at_m_equal_l_mu():
+    # at m = l(mu) the E bound leaves dual-JT's first column without its
+    # twist, the column that equals twice its plain entry under the twist
     for lam in partitions_upto(5):
         for mu in partitions_upto(lam.size()):
             if not lam.contains(mu) or mu.length() > 2:
@@ -204,7 +205,9 @@ def test_even_orthogonal_division_is_exact():
                 m = mu.length()
                 if lam.length() > n + m:
                     continue
-                dual_jacobi_trudi(F.O_EVEN, lam, mu, n, m)  # raises on failure
+                oracle = character_by_tableaux(F.O_EVEN, SkewShape(lam, mu), n, m)
+                assert dual_jacobi_trudi(F.O_EVEN, lam, mu, n, m) == oracle, (lam, mu, n)
+                assert jacobi_trudi(F.O_EVEN, lam, mu, n, m) == oracle, (lam, mu, n)
 
 
 def test_row_and_column_blocks_closed_forms():
