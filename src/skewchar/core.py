@@ -206,7 +206,7 @@ class LaurentPoly:
     variables and x_i -> x_i^-1).  No public constructor takes it: it is
     set through _owning only where it is proven, by the constants and by
     the e/h tables of the doubled alphabet (symfunc).  Sums, negations,
-    scalings, exact divisions and products of promised values keep it.
+    scalings and products of promised values keep it.
 
     A promised value stores its coefficients at the dominant weights nu
     (nu_1 >= ... >= nu_n >= 0), one per orbit, and those operations work on

@@ -116,36 +116,30 @@ def _dual_jt_cached(family, a, b, n, m):
     return dual_jacobi_trudi(family, hook, Partition(), n, m, a + 1)
 
 
-def _skew_block(route, family, outer, inner, n, m):
-    """A single-row or single-column Giambelli block by the given 1 x 1
-    determinant route (zero parts dropped); 0 when inner does not fit."""
-    lam, mu = Partition(filter(None, outer)), Partition(filter(None, inner))
-    if not lam.contains(mu):
-        return LaurentPoly.zero(n)
-    return route(family, lam, mu, n, m)
-
-
 def giambelli(family, lam, mu=Partition(), n=1, m=0):
     """(p+q) x (p+q) block determinant times (-1)^q, from the Frobenius
     coordinates (a|b) of lambda and (g|d) of mu.  Its blocks are the hook
     characters (a_i|b_j), each by JT of size b_j+1 when b_j < a_i and
     by dual-JT of size a_i+1 otherwise (_dual_jt_cached), the single rows
-    (a_i)/(g_j) by JT (h_{a-g}), the single columns (1^{b_j+1})/(1^{d_i+1})
-    by dual-JT (the entry E(b+1, d+1)) and a q x q zero block.
+    (a_i)/(g_j), JT's 1 x 1 entry H(1 - g, 1 - a), the single columns
+    (1^{b_j+1})/(1^{d_i+1}), dual-JT's 1 x 1 entry E(b + 1, d + 1), and a
+    q x q zero block.  Both entries are 0 where the inner shape does not
+    fit.
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     fl, fm = lam.to_frobenius(), mu.to_frobenius()
+    gl = family is CharacterFamily.GL
+    e = elementary_plain if gl else elementary_pm
+    h = complete_plain if gl else complete_pm
+    k, t = TWIST[family]
     rows = [
         [_dual_jt_cached(family, a, b, n, m) for b in fl.legs]
-        + [_skew_block(jacobi_trudi, family, (a,), (g,), n, m) for g in fm.arms]
+        + [h_entry(1 - g, 1 - a, m, k, t, n, h) for g in fm.arms]
         for a in fl.arms
     ]
     rows += [
-        [
-            _skew_block(dual_jacobi_trudi, family, (1,) * (b + 1), (1,) * (d + 1), n, m)
-            for b in fl.legs
-        ]
+        [e_entry(b + 1, d + 1, m, k, t, n, e) for b in fl.legs]
         + [LaurentPoly.zero(n)] * len(fm.arms)
         for d in fm.legs
     ]

@@ -589,77 +589,6 @@ def _steps_from(key, x, y):
     )
 
 
-def _moves(model, x, y, to):
-    """The next steps from (x, y) of a path heading for to, as
-    (kind, nx, ny, exp) (see _steps_from): those model.step_ok allows, less
-    any that overshoot to.
-
-    step_ok alone fixes the order of a path's steps: it allows a descent
-    only at x <= 0, every ascent lands at x >= 1 and x never decreases, so
-    no path descends once it has ascended, nor ascends straight after a
-    descent.  For the same reason a path above to is dead once it can no
-    longer descend, that is in a columnwise model or at x > 0.
-    _SuffixTable.__missing__ prunes the same way, inline.
-    """
-    tx, ty = to
-    if y > ty and (x > 0 or model.layout is Layout.COLUMNWISE):
-        return []
-    return [
-        move
-        for move in _steps_from(model.key, x, y)
-        if move[1] <= tx and (move[2] <= ty or move[0] not in UP_KINDS)
-    ]
-
-
-def _graded_gf(model, frm, to):
-    """Special-step count k -> weighted sum over the model-legal paths from
-    frm to to with exactly k special steps (diagonal or o-horizontal); counts
-    with no path are absent."""
-    frm, to = tuple(frm), tuple(to)
-    if not (model.vertex_ok(*frm) and model.vertex_ok(*to)):
-        return {}
-    return _graded_from(model, to, {to: {0: LaurentPoly.one(model.n)}}, *frm)
-
-
-def _graded_from(model, to, memo, x, y):
-    """_graded_gf from (x, y); memo maps each point walked, to included, to
-    its graded sums (a plain function, so no cycle keeps the memo alive)."""
-    got = memo.get((x, y))
-    if got is not None:
-        return got
-    acc = {}
-    for kind, nx, ny, exp in _moves(model, x, y, to):
-        shift = 1 if kind is DIAG or kind is OHORIZ else 0
-        exps = None
-        if exp is not None:
-            exps = [0] * model.n
-            exps[exp[0]] = exp[1]
-        for k, poly in _graded_from(model, to, memo, nx, ny).items():
-            if exps is not None:
-                poly = poly.mul_monomial(exps)
-            k += shift
-            acc[k] = acc[k] + poly if k in acc else poly
-    acc = {k: poly for k, poly in acc.items() if not poly.is_zero()}
-    memo[(x, y)] = acc
-    return acc
-
-
-def path_gf(model, frm, to):
-    """Exact weighted sum over all model-legal paths from frm to to."""
-    acc = LaurentPoly.zero(model.n)
-    for poly in _graded_gf(model, frm, to).values():
-        acc = acc + poly
-    return acc
-
-
-def path_gf_by_diag_count(model, frm, to, k):
-    """Generating function restricted to exactly k special steps (diagonal
-    steps for the odd family, o-horizontal steps for the even one)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _graded_gf(model, frm, to).get(k, LaurentPoly.zero(model.n))
-
-
 def _advance_width(starts, ends):
     """The digit width of packed weight keys (core) for paths from starts
     to ends.  No step decreases x, and a horizontal step advances x by 1
@@ -688,6 +617,15 @@ class _SuffixTable(dict):
         self.weights = weights
 
     def __missing__(self, point):
+        """Walk point: the steps model.step_ok allows from it, less any
+        that overshoot to, each followed by every record of its end.
+
+        step_ok alone fixes the order of a path's steps: it allows a descent
+        only at x <= 0, every ascent lands at x >= 1 and x never decreases,
+        so no path descends once it has ascended, nor ascends straight after
+        a descent.  For the same reason a path above to is dead once it can
+        no longer descend, that is in a columnwise model or at x > 0.
+        """
         model, (tx, ty), weights = self.model, self.to, self.weights
         x, y = point
         here = self.index.setdefault(point, 1 << len(self.index))
@@ -812,6 +750,25 @@ def lgv_signed_sum(model, starts, ends):
                 k = key + r[1]
                 keys[k] = get(k, 0) + sign
     return LaurentPoly(model.n, _unpack(keys, model.n, _advance_width(starts, ends)))
+
+
+def path_gf(model, frm, to):
+    """Exact weighted sum over all model-legal paths from frm to to: the
+    signed sum over one-path families, which all have sign +1."""
+    return lgv_signed_sum(model, [frm], [to])
+
+
+def path_gf_by_diag_count(model, frm, to, k):
+    """Generating function restricted to exactly k special steps (diagonal
+    steps for the odd family, o-horizontal steps for the even one)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    counts = {}
+    for p in enumerate_paths(model, frm, to):
+        if p.steps.count(DIAG) + p.steps.count(OHORIZ) == k:
+            exps = p.weight_exps(model)
+            counts[exps] = counts.get(exps, 0) + 1
+    return LaurentPoly(model.n, counts)
 
 
 # ---------------------------------------------------------------------------

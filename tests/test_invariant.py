@@ -341,10 +341,10 @@ def test_promise_is_made_only_where_proven():
 
 
 def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):
-    # every value built by sums, negations, scalings, exact divisions and
-    # products in dual-JT, JT and Giambelli: every minor and hook block,
-    # whether built from its terms (_owning) or from its dominant
-    # coefficients alone (_dominant)
+    # every value built by sums, negations, scalings and products in
+    # dual-JT, JT and Giambelli: every minor and hook block, whether built
+    # from its terms (_owning) or from its dominant coefficients alone
+    # (_dominant)
     promised = []
     seen_mul = []
     owning, dominant, mul = core._owning, core._dominant, core.LaurentPoly.__mul__
