@@ -763,12 +763,13 @@ def path_gf_by_diag_count(model, frm, to, k):
     steps for the odd family, o-horizontal steps for the even one)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    counts = {}
-    for p in enumerate_paths(model, frm, to):
-        if p.steps.count(DIAG) + p.steps.count(OHORIZ) == k:
-            exps = p.weight_exps(model)
-            counts[exps] = counts.get(exps, 0) + 1
-    return LaurentPoly(model.n, counts)
+    frm = tuple(frm)
+    width = _advance_width([frm], [to])
+    keys = {}
+    for rec in _SuffixTable(model, to, {}, _weights(model.n, width))[frm]:
+        if sum(kind is DIAG or kind is OHORIZ for kind in _steps(rec)) == k:
+            keys[rec[1]] = keys.get(rec[1], 0) + 1
+    return LaurentPoly(model.n, _unpack(keys, model.n, width))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Entries are decorated values ordered circ_i < hat_i < bar_i < plain_i <
 circ_{i+1}; each family uses a sub-alphabet (plain for Schur, bar/plain for
 symplectic, plus hat for odd orthogonal, plus circ for even orthogonal).
 Enumeration works on integer ranks 4*(value-1) + decoration so comparisons
-are plain int comparisons.
+are plain int comparisons.  It walks one row at a time: a row's fills under
+a given row above are listed once per call by the per-cell rule _options,
+and every cell's rank is capped by its column, so that no prefix is walked
+that leaves a cell to its right or below with no rank.
 """
 
 import os
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .core import LaurentPoly, Partition, SkewShape, _key_width, _unpack, _weights
@@ -173,21 +175,21 @@ def _row_min_rank(family, r, m):
 
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
-def _options(family, n, m, r, col1, below, left, above, first):
+def _options(family, n, m, r, col1, below, top_rank, left, above, first):
     """The ranks, ascending, that a cell of row r may take.
 
     col1 says the cell lies in column 1 and below that the column-1 cell
-    under it exists (a circ needs that hat); left, above and first are the
-    ranks of the left neighbour, the upper neighbour and the row's first
-    cell, None where absent.  first matters only to the even orthogonal
-    plain rule."""
+    under it exists (a circ needs that hat); top_rank is the cell's
+    column cap (see _iter_fillings), at most 4n - 1, the alphabet's
+    largest rank; left, above and first are the ranks of the left
+    neighbour, the upper neighbour and the row's first cell, None where
+    absent.  first matters only to the even orthogonal plain rule."""
     lo = _row_min_rank(family, r, m)
     if left is not None:
         lo = max(lo, left)
     if above is not None:
         lo = max(lo, above + 1)
     even = family is CharacterFamily.O_EVEN
-    top_rank = 4 * n - 1
     # a circ above the first column forces the matching hat
     if even and col1 and above is not None and above % 4 == CIRC:
         hat = entry_rank(above // 4 + 1, HAT)
@@ -213,74 +215,134 @@ def _options(family, n, m, r, col1, below, left, above, first):
     return tuple(out)
 
 
-def _iter_fillings(family, shape, n, m):
-    """Yield (ranks, key) for every valid filling, cells in row-major order.
+def _row_fills(plan, first_col, pad, overlap, above, step):
+    """Every fill of one row under the row above, in ascending
+    lexicographic order, as records (ranks, weight key, the key the next
+    row looks up by).
 
-    ranks is a reused buffer with one spare slot, always None, after the
-    cells; key is the weight's exponent vector packed in core's format at
-    digit width _key_width(cells), as no |exponent| exceeds the cells."""
+    plan holds each cell's fixed _options arguments, left to right;
+    first_col says the family is even orthogonal and the row starts in
+    column 1, so that each later cell reads the row's first rank.  above
+    holds each cell's upper neighbour's rank, None where absent.  The next
+    key is that tuple for the next nonempty row: pad Nones, then this
+    row's first overlap ranks."""
+    fills = [((rank,), step[rank]) for rank in _options(*plan[0], None, above[0], None)]
+    for i in range(1, len(plan)):
+        fixed, up, grown = plan[i], above[i], []
+        for ranks, weight in fills:
+            first = ranks[0] if first_col else None
+            for rank in _options(*fixed, ranks[-1], up, first):
+                grown.append((ranks + (rank,), weight + step[rank]))
+        fills = grown
+    gap = (None,) * pad
+    return [(ranks, weight, gap + ranks[:overlap]) for ranks, weight in fills]
+
+
+def _iter_fillings(family, shape, n, m):
+    """Yield (above, key, last) once per valid filling of every nonempty
+    row but the last: above lists those rows' fill records (see
+    _row_fills) top down, key is their summed weight and last lists the
+    last row's fills under them, never empty.
+
+    Completing above by each record of last gives every valid filling
+    once, in ascending row-major rank order.  above is a reused list: read
+    it before the next group.  A weight is the exponent vector packed in
+    core's format at digit width _key_width(cells), as no |exponent|
+    exceeds the cells.
+
+    Each cell's largest rank is its column cap top(r, c) = min(top(r, c+1),
+    top(r+1, c) - 1), with 4n - 1 for a neighbour outside the shape: rows
+    weakly increase and columns strictly increase, so a larger rank leaves
+    no room to its right or below.  A row's fills under a given row above
+    are listed once per call."""
     check_preconditions(family, shape.outer, shape.inner, n, m)
-    cap = _max_cells()
-    if shape.size() > cap:
+    max_cells = _max_cells()
+    if shape.size() > max_cells:
         raise ValueError(
-            "shape has %d cells, over SKEWCHAR_MAX_CELLS=%d" % (shape.size(), cap)
+            "shape has %d cells, over SKEWCHAR_MAX_CELLS=%d" % (shape.size(), max_cells)
         )
-    cells = shape.cells()
-    size = len(cells)
-    ranks = [0] * size + [None]
-    if not size:
-        yield ranks, 0
-        return
     step = [0] * (4 * n)
-    for v, weight in enumerate(_weights(n, _key_width(size))):
+    for v, weight in enumerate(_weights(n, _key_width(shape.size()))):
         step[4 * v + PLAIN] = weight
         step[4 * v + BAR] = -weight
-    # per cell: the rule's fixed arguments and a getter of (left, above,
-    # first) from ranks; an absent neighbour reads the spare None slot
-    index = {cell: i for i, cell in enumerate(cells)}
+    # row r has columns inner[r-1]+1..outer[r-1]; one past the last row
+    # reads as empty
+    outer = shape.outer.parts + (0,)
+    inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner.parts))
     even = family is CharacterFamily.O_EVEN
-    fixed = [(family, n, m, r, c == 1, c == 1 and (r + 1, 1) in index) for r, c in cells]
-    getters = [
-        itemgetter(
-            index.get((r, c - 1), size),
-            index.get((r - 1, c), size),
-            index.get((r, 1), size) if even and c > 1 else size,
-        )
-        for r, c in cells
-    ]
-    seen = [{} for _ in cells]  # per cell: (left, above, first) -> options
-    last = size - 1
-    keys = [0] * size  # keys[i]: the weight of cells 0..i-1
-    stack = [iter(_options(*fixed[0], *getters[0](ranks)))]
-    i = 0
+    # one pass up the rows: per nonempty row, its _row_fills arguments but
+    # the row above, with every cell's cap
+    rows = []
+    below, nxt = (), None  # the caps of row r + 1; the next nonempty row
+    for r in range(len(outer) - 1, 0, -1):
+        lo, hi, d0, d1 = inner[r - 1], outer[r - 1], inner[r], outer[r]
+        caps, cap = [], 4 * n - 1
+        for c in range(hi, lo, -1):
+            if c <= d1:
+                cap = min(cap, below[c - d0 - 1] - 1)
+            caps.append(cap)
+        caps.reverse()
+        below = caps
+        if hi == lo:
+            continue
+        # the next row's cells under this row read its first ranks in
+        # its key, the rest read None
+        overlap = d1 - lo if nxt == r + 1 and d1 > lo else 0
+        pad = outer[nxt - 1] - inner[nxt - 1] - overlap if nxt else 0
+        col1 = lo == 0
+        plan = [(family, n, m, r, col1, col1 and d1 > 0 and not d0, caps[0])]
+        plan += [(family, n, m, r, False, False, cap) for cap in caps[1:]]
+        rows.append((plan, even and col1, pad, overlap))
+        nxt = r
+    rows.reverse()
+    if not rows:  # no cells: the empty filling
+        yield [], 0, [((), 0, ())]
+        return
+    memos = [{} for _ in rows]  # per row: the row above's key -> fills
+    gets = [memo.get for memo in memos]
+    last = len(rows) - 1
+    chosen = [None] * last
+    first = _row_fills(*rows[0], (None,) * len(rows[0][0]), step)
+    if not last:
+        if first:
+            yield chosen, 0, first
+        return
+    keys = [0] * last  # keys[j]: the weight of rows 0..j-1
+    stack = [iter(first)]
+    j = 0
     while stack:
-        for rank in stack[-1]:
-            ranks[i] = rank
-            if i == last:
-                yield ranks, keys[i] + step[rank]
+        for rec in stack[-1]:
+            more = gets[j + 1](rec[2])
+            if more is None:
+                more = memos[j + 1][rec[2]] = _row_fills(*rows[j + 1], rec[2], step)
+            if not more:
                 continue
-            keys[i + 1] = keys[i] + step[rank]
-            i += 1
-            probe = getters[i](ranks)
-            opts = seen[i].get(probe)
-            if opts is None:
-                opts = seen[i][probe] = _options(*fixed[i], *probe)
-            stack.append(iter(opts))
+            chosen[j] = rec
+            key = keys[j] + rec[1]
+            if j + 1 == last:
+                yield chosen, key, more
+                continue
+            j += 1
+            keys[j] = key
+            stack.append(iter(more))
             break
         else:
             stack.pop()
-            i -= 1
+            j -= 1
 
 
 def enumerate_tableaux(family, shape, n, m=0):
     """Stream every valid tableau of the family exactly once."""
     cells = shape.cells()
-    for ranks, _ in _iter_fillings(family, shape, n, m):
-        yield Tableau(shape, {cell: _rank_entry(rank) for cell, rank in zip(cells, ranks)})
+    for above, _, last in _iter_fillings(family, shape, n, m):
+        head = tuple(rank for rec in above for rank in rec[0])
+        for rec in last:
+            ranks = head + rec[0]
+            yield Tableau(shape, {cell: _rank_entry(rank) for cell, rank in zip(cells, ranks)})
 
 
 def count_tableaux(family, shape, n, m=0):
-    return sum(1 for _ in _iter_fillings(family, shape, n, m))
+    return sum(1 for _, _, last in _iter_fillings(family, shape, n, m) for _ in last)
 
 
 def tableau_weight(family, t, n):
@@ -297,8 +359,11 @@ def tableau_weight(family, t, n):
 def character_by_tableaux(family, shape, n, m=0):
     """Exact sum of tableau weights: the oracle for every determinant formula."""
     counts = {}
-    for _, key in _iter_fillings(family, shape, n, m):
-        counts[key] = counts.get(key, 0) + 1
+    get = counts.get
+    for _, key, last in _iter_fillings(family, shape, n, m):
+        for rec in last:
+            k = key + rec[1]
+            counts[k] = get(k, 0) + 1
     return LaurentPoly(n, _unpack(counts, n, _key_width(shape.size())))
 
 

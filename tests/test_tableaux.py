@@ -143,14 +143,22 @@ def _brute_force(fam, sh, n, m):
     return [t for t in fillings if is_valid_tableau(fam, t, n, m)]
 
 
+# columns as tall as l(lambda) <= n (+ m) allows, so that every column cap
+# binds: the top cells of column 1 must leave room for the cells under them
+FULL_COLUMNS = [
+    (F.GL, (2, 2, 1), (), 3, 0),
+    (F.SP, (2, 2, 1, 1), (), 2, 2),
+    (F.SO_ODD, (2, 2, 1, 1), (1,), 2, 2),
+    (F.O_EVEN, (2, 1, 1, 1), (), 2, 2),
+]
+
+
 def test_enumeration_equals_brute_force():
-    cases = 0
+    cases = []
     for lam in partitions_upto(6):
         for mu in partitions_upto(lam.size()):
             if not lam.contains(mu) or mu.length() > 2 or lam.size() - mu.size() > 4:
                 continue
-            sh = SkewShape(lam, mu)
-            cells = sh.cells()
             for fam in (F.GL, F.SP, F.SO_ODD, F.O_EVEN):
                 for n in (1, 2):
                     for m in (0,) if fam is F.GL else (0, 1, 2):
@@ -158,19 +166,23 @@ def test_enumeration_equals_brute_force():
                             continue
                         if fam is F.GL and lam.length() > n:
                             continue
-                        want = _brute_force(fam, sh, n, m)
-                        got = list(enumerate_tableaux(fam, sh, n, m))
-                        assert got == want, (fam, lam, mu, n, m)
-                        assert len(set(got)) == len(got)
-                        order = [tuple(t.cells[c].rank for c in cells) for t in got]
-                        assert order == sorted(order)
-                        assert count_tableaux(fam, sh, n, m) == len(want)
-                        weight = LaurentPoly.zero(n)
-                        for t in want:
-                            weight = weight + tableau_weight(fam, t, n)
-                        assert character_by_tableaux(fam, sh, n, m) == weight
-                        cases += 1
-    assert cases == 1226
+                        cases.append((fam, SkewShape(lam, mu), n, m))
+    assert len(cases) == 1226
+    for fam, outer, inner, n, m in FULL_COLUMNS:
+        cases.append((fam, SkewShape(Partition(outer), Partition(inner)), n, m))
+    for fam, sh, n, m in cases:
+        want = _brute_force(fam, sh, n, m)
+        got = list(enumerate_tableaux(fam, sh, n, m))
+        assert got == want, (fam, sh, n, m)
+        assert len(set(got)) == len(got)
+        cells = sh.cells()
+        order = [tuple(t.cells[c].rank for c in cells) for t in got]
+        assert order == sorted(order)
+        assert count_tableaux(fam, sh, n, m) == len(want)
+        weight = LaurentPoly.zero(n)
+        for t in want:
+            weight = weight + tableau_weight(fam, t, n)
+        assert character_by_tableaux(fam, sh, n, m) == weight
 
 
 def test_packed_weight_at_its_extremes():
