@@ -4,14 +4,17 @@ Entries are decorated values ordered circ_i < hat_i < bar_i < plain_i <
 circ_{i+1}; each family uses a sub-alphabet (plain for Schur, bar/plain for
 symplectic, plus hat for odd orthogonal, plus circ for even orthogonal).
 Enumeration works on integer ranks 4*(value-1) + decoration so comparisons
-are plain int comparisons.  It walks one row at a time: a row's fills under
-a given row above are listed once per call by the per-cell rule _options,
-and every cell's rank is capped by its column, so that no prefix is walked
-that leaves a cell to its right or below with no rank.
+are plain int comparisons.  It walks one row at a time, cell by cell
+through the per-cell rule _options, and caps every cell's rank by its
+column, so that no prefix is walked that leaves a cell to its right or
+below with no rank.  A row's fills under a given row above are kept for
+the call up to a fixed budget, so a walk's memory is bounded whatever
+the number of tableaux.
 """
 
 import os
 from functools import lru_cache
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .core import LaurentPoly, Partition, SkewShape, _key_width, _unpack, _weights
@@ -31,6 +34,7 @@ _FAMILY_DECOS = {
 
 DEFAULT_MAX_CELLS = 64
 RULE_CACHE_SIZE = 4096
+ROW_MEMO_FILLS = 1 << 14
 
 
 class Entry(NamedTuple):
@@ -178,12 +182,15 @@ def _row_min_rank(family, r, m):
 def _options(family, n, m, r, col1, below, top_rank, left, above, first):
     """The ranks, ascending, that a cell of row r may take.
 
-    col1 says the cell lies in column 1 and below that the column-1 cell
-    under it exists (a circ needs that hat); top_rank is the cell's
+    family is a CharacterFamily's value, as a str key hashes in C where an
+    Enum member's __hash__ is a Python call on every lookup.  col1 says
+    the cell lies in column 1 and below that the column-1 cell under it
+    exists (a circ needs that hat); top_rank is the cell's
     column cap (see _iter_fillings), at most 4n - 1, the alphabet's
     largest rank; left, above and first are the ranks of the left
     neighbour, the upper neighbour and the row's first cell, None where
     absent.  first matters only to the even orthogonal plain rule."""
+    family = CharacterFamily(family)
     lo = _row_min_rank(family, r, m)
     if left is not None:
         lo = max(lo, left)
@@ -215,34 +222,76 @@ def _options(family, n, m, r, col1, below, top_rank, left, above, first):
     return tuple(out)
 
 
+def _unlink(ranks):
+    """The ranks of a linked fill (see _row_fills) as a tuple, left to right."""
+    out = []
+    while ranks:
+        ranks, rank = ranks
+        out.append(rank)
+    out.reverse()
+    return tuple(out)
+
+
 def _row_fills(plan, first_col, pad, overlap, above, step):
-    """Every fill of one row under the row above, in ascending
+    """Yield every fill of one row under the row above, in ascending
     lexicographic order, as records (ranks, weight key, the key the next
     row looks up by).
 
     plan holds each cell's fixed _options arguments, left to right;
     first_col says the family is even orthogonal and the row starts in
     column 1, so that each later cell reads the row's first rank.  above
-    holds each cell's upper neighbour's rank, None where absent.  The next
+    holds each cell's upper neighbour's rank, None where absent.  ranks is
+    linked, (the ranks before, the last rank) down to None, so fills share
+    their prefixes and a fill costs one pair (_unlink reads it).  The next
     key is that tuple for the next nonempty row: pad Nones, then this
-    row's first overlap ranks."""
-    fills = [((rank,), step[rank]) for rank in _options(*plan[0], None, above[0], None)]
-    for i in range(1, len(plan)):
-        fixed, up, grown = plan[i], above[i], []
-        for ranks, weight in fills:
-            first = ranks[0] if first_col else None
-            for rank in _options(*fixed, ranks[-1], up, first):
-                grown.append((ranks + (rank,), weight + step[rank]))
-        fills = grown
+    row's first overlap ranks.  The walk holds one prefix at a time."""
+    last = len(plan) - 1
     gap = (None,) * pad
-    return [(ranks, weight, gap + ranks[:overlap]) for ranks, weight in fills]
+    key = gap
+    full = overlap > last  # the next key reads the whole row
+    # cells before hold fix the next key or the row's first rank
+    hold = max(overlap, first_col)
+    heads = [None] * (last + 1)  # heads[i]: the linked ranks of cells 0..i-1
+    weights = [0] * (last + 1)
+    walks = [iter(_options(*plan[0], None, above[0], None))] + [None] * last
+    first = None
+    rules = {}  # (cell, left, first) -> the cell's ranks, for this row above
+    i = 0
+    while i >= 0:
+        for rank in walks[i]:
+            head = (heads[i], rank)
+            weight = weights[i] + step[rank]
+            if i == last:  # a one-cell row
+                yield head, weight, gap + (rank,) if full else key
+                continue
+            if i < hold:
+                if i + 1 == overlap:
+                    key = gap + _unlink(head)
+                if not i and first_col:
+                    first = rank
+            probe = (i + 1, rank, first)
+            opts = rules.get(probe)
+            if opts is None:
+                opts = rules[probe] = _options(*plan[i + 1], rank, above[i + 1], first)
+            if i + 1 < last:
+                i += 1
+                heads[i] = head
+                weights[i] = weight
+                walks[i] = iter(opts)
+                break
+            # the row's last cell, listed in place
+            for end in opts:
+                tail = (head, end)
+                yield tail, weight + step[end], gap + _unlink(tail) if full else key
+        else:
+            i -= 1
 
 
 def _iter_fillings(family, shape, n, m):
     """Yield (above, key, last) once per valid filling of every nonempty
     row but the last: above lists those rows' fill records (see
-    _row_fills) top down, key is their summed weight and last lists the
-    last row's fills under them, never empty.
+    _row_fills) top down, key is their summed weight and last iterates,
+    once, the last row's fills under them, never empty.
 
     Completing above by each record of last gives every valid filling
     once, in ascending row-major rank order.  above is a reused list: read
@@ -253,8 +302,10 @@ def _iter_fillings(family, shape, n, m):
     Each cell's largest rank is its column cap top(r, c) = min(top(r, c+1),
     top(r+1, c) - 1), with 4n - 1 for a neighbour outside the shape: rows
     weakly increase and columns strictly increase, so a larger rank leaves
-    no room to its right or below.  A row's fills under a given row above
-    are listed once per call."""
+    no room to its right or below.  The first row is walked once.  A later
+    row's fills under a given row above are kept for the call while the
+    kept fills and keys number under ROW_MEMO_FILLS; past that they are
+    walked afresh, so memory stays bounded on rows with millions of fills."""
     check_preconditions(family, shape.outer, shape.inner, n, m)
     max_cells = _max_cells()
     if shape.size() > max_cells:
@@ -269,7 +320,7 @@ def _iter_fillings(family, shape, n, m):
     # reads as empty
     outer = shape.outer.parts + (0,)
     inner = shape.inner.parts + (0,) * (len(outer) - len(shape.inner.parts))
-    even = family is CharacterFamily.O_EVEN
+    even, name = family is CharacterFamily.O_EVEN, family.value
     # one pass up the rows: per nonempty row, its _row_fills arguments but
     # the row above, with every cell's cap
     rows = []
@@ -290,31 +341,39 @@ def _iter_fillings(family, shape, n, m):
         overlap = d1 - lo if nxt == r + 1 and d1 > lo else 0
         pad = outer[nxt - 1] - inner[nxt - 1] - overlap if nxt else 0
         col1 = lo == 0
-        plan = [(family, n, m, r, col1, col1 and d1 > 0 and not d0, caps[0])]
-        plan += [(family, n, m, r, False, False, cap) for cap in caps[1:]]
+        plan = [(name, n, m, r, col1, col1 and d1 > 0 and not d0, caps[0])]
+        plan += [(name, n, m, r, False, False, cap) for cap in caps[1:]]
         rows.append((plan, even and col1, pad, overlap))
         nxt = r
     rows.reverse()
     if not rows:  # no cells: the empty filling
-        yield [], 0, [((), 0, ())]
+        yield [], 0, [(None, 0, ())]
+        return
+    top = _row_fills(*rows[0], (None,) * len(rows[0][0]), step)
+    last = len(rows) - 1
+    chosen = [None] * last
+    if not last:
+        head = next(top, None)
+        if head is not None:
+            yield chosen, 0, chain((head,), top)
         return
     memos = [{} for _ in rows]  # per row: the row above's key -> fills
     gets = [memo.get for memo in memos]
-    last = len(rows) - 1
-    chosen = [None] * last
-    first = _row_fills(*rows[0], (None,) * len(rows[0][0]), step)
-    if not last:
-        if first:
-            yield chosen, 0, first
-        return
+    room = ROW_MEMO_FILLS  # the fills and keys the memos may still keep
     keys = [0] * last  # keys[j]: the weight of rows 0..j-1
-    stack = [iter(first)]
+    stack = [top]
     j = 0
     while stack:
         for rec in stack[-1]:
             more = gets[j + 1](rec[2])
             if more is None:
-                more = memos[j + 1][rec[2]] = _row_fills(*rows[j + 1], rec[2], step)
+                walk = _row_fills(*rows[j + 1], rec[2], step)
+                more = list(islice(walk, room + 1))
+                if len(more) < room:
+                    room -= len(more) + 1
+                    memos[j + 1][rec[2]] = more
+                elif more:
+                    more = chain(more, walk)
             if not more:
                 continue
             chosen[j] = rec
@@ -335,9 +394,9 @@ def enumerate_tableaux(family, shape, n, m=0):
     """Stream every valid tableau of the family exactly once."""
     cells = shape.cells()
     for above, _, last in _iter_fillings(family, shape, n, m):
-        head = tuple(rank for rec in above for rank in rec[0])
+        head = tuple(rank for rec in above for rank in _unlink(rec[0]))
         for rec in last:
-            ranks = head + rec[0]
+            ranks = head + _unlink(rec[0])
             yield Tableau(shape, {cell: _rank_entry(rank) for cell, rank in zip(cells, ranks)})
 
 

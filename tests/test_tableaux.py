@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from skewchar import (
     is_valid_tableau,
     tableau_weight,
 )
-from skewchar import cli
+from skewchar import cli, tableaux
 from skewchar.core import partitions_upto
 from skewchar.tableaux import Entry
 
@@ -183,6 +184,47 @@ def test_enumeration_equals_brute_force():
         for t in want:
             weight = weight + tableau_weight(fam, t, n)
         assert character_by_tableaux(fam, sh, n, m) == weight
+
+
+# shapes of three or more rows whose later rows are listed under many
+# distinct rows above
+MEMO_SHAPES = [
+    (F.GL, (3, 3, 2), (1,), 3, 0),
+    (F.SP, (3, 3, 3), (), 3, 0),
+    (F.SO_ODD, (3, 3, 2, 1), (2,), 2, 2),
+    (F.O_EVEN, (4, 3, 3, 2), (1,), 3, 1),
+]
+
+
+def test_row_memo_budget_keeps_every_tableau(monkeypatch):
+    # past its budget the row memo walks a row afresh; the tableaux, their
+    # order, count and character must not depend on what it kept
+    want = {}
+    for fam, outer, inner, n, m in MEMO_SHAPES:
+        sh = SkewShape(Partition(outer), Partition(inner))
+        want[fam] = (list(enumerate_tableaux(fam, sh, n, m)), character_by_tableaux(fam, sh, n, m))
+    for budget in (0, 1, 3, 40):
+        monkeypatch.setattr(tableaux, "ROW_MEMO_FILLS", budget)
+        for fam, outer, inner, n, m in MEMO_SHAPES:
+            sh = SkewShape(Partition(outer), Partition(inner))
+            got = list(enumerate_tableaux(fam, sh, n, m))
+            assert got == want[fam][0], (fam, budget)
+            assert count_tableaux(fam, sh, n, m) == len(got)
+            assert character_by_tableaux(fam, sh, n, m) == want[fam][1], (fam, budget)
+
+
+def test_long_rows_are_walked_in_bounded_memory():
+    # sp (16), n = 3 has C(21, 5) = 20,349 fills: a list of them would take
+    # megabytes, the walk holds one prefix (counts by Jacobi-Trudi at 1)
+    for outer, count in [((16,), 20349), ((16, 1), 80256)]:
+        sh = SkewShape(Partition(outer))
+        tracemalloc.start()
+        try:
+            assert count_tableaux(F.SP, sh, 3, 0) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (outer, peak)
 
 
 def test_packed_weight_at_its_extremes():
