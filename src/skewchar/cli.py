@@ -11,7 +11,6 @@ import json
 import random
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -383,6 +382,10 @@ def run_verify(args):
 
 def _map_cases(fn, cases, jobs):
     if jobs > 1:
+        # imported here: it costs every CLI start about 12 ms, and only
+        # --jobs > 1 uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, cases, chunksize=8))
     return [fn(c) for c in cases]

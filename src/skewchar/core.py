@@ -10,7 +10,7 @@ win: everything here is safe to share between threads.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product, repeat
+from itertools import permutations, product, repeat
 from math import comb, factorial
 from operator import add, ge, mul
 
@@ -706,37 +706,33 @@ class PolyMatrix:
         self.rows = rows
 
     def determinant(self):
-        """Exact determinant by Laplace expansion memoized over column subsets.
+        """Exact determinant by Laplace expansion over the nonzero minors.
 
-        The minor of a mask is the determinant of the block made of the
-        first popcount(mask) rows and the columns in mask.  The minors of
-        size k+1 expand along row k into those of size k, which are then
-        dropped: O(2^dim) minors are computed, and at most
-        C(dim, k) + C(dim, k+1) are held at once.  The top row is expanded
-        first and enters every minor; the bottom row enters only the last
-        level.  Callers put the rows they want expanded first (the sparse,
-        low-degree ones) at the top.
+        The minor of a column mask is the determinant of the block made of
+        the first popcount(mask) rows and the columns in mask.  Each
+        nonzero entry (k, j) of row k extends each nonzero minor of the
+        first k rows whose mask misses column j, with the sign (-1)^(k+p)
+        where p counts the mask's columns left of j; minors that sum to
+        zero are dropped.  Only the nonzero minors of two sizes are held at
+        once, so a banded matrix keeps a few per level where a dense one
+        keeps up to C(dim, k).  The top row is expanded first and enters
+        every minor; the bottom row enters only the last level.  Callers
+        put the rows they want expanded first (the sparse, low-degree ones)
+        at the top.
         """
-        n = self.dim
-        zero = LaurentPoly.zero(self.n_vars)
         prev = {0: LaurentPoly.one(self.n_vars)}
         for k, row in enumerate(self.rows):  # expand along row k
             # the entries by sign, +1 and -1; row 0 meets only sign +1
             signed = (row, [-entry for entry in row] if k else row)
             level = {}
-            for mask in sorted(sum(1 << j for j in cols) for cols in combinations(range(n), k + 1)):
-                acc = zero
-                odd = k & 1
-                m = mask
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    entry = signed[odd][j]
-                    if not entry.is_zero():
-                        sub = prev[mask ^ (1 << j)]
-                        if not sub.is_zero():
-                            acc = acc + entry * sub
-                    odd ^= 1
-                    m &= m - 1
-                level[mask] = acc
-            prev = level
-        return prev[(1 << n) - 1]
+            for j, entry in enumerate(row):
+                if entry.is_zero():
+                    continue
+                bit = 1 << j
+                for mask, sub in prev.items():
+                    if not mask & bit:
+                        term = signed[(k + (mask & (bit - 1)).bit_count()) & 1][j] * sub
+                        key = mask | bit
+                        level[key] = level[key] + term if key in level else term
+            prev = {mask: minor for mask, minor in level.items() if not minor.is_zero()}
+        return prev.get((1 << self.dim) - 1, LaurentPoly.zero(self.n_vars))

@@ -79,10 +79,10 @@ def _det_bottom_up(rows, n):
     Rows and columns both reversed (J A J with J the reversal) have the same
     determinant.  In the JT matrix and in Giambelli's block matrix the last
     rows hold the lowest-degree entries and most of the zeros, so the
-    Laplace memo builds its many small minors from those and meets the large
-    top-row entries only in its last levels.  Dual-JT keeps the top-down
-    order for now: the benchmark's counter self-check pins its multiply
-    counts.
+    expansion over nonzero minors builds its many small minors from those
+    and meets the large top-row entries only in its last levels.  Dual-JT
+    keeps the top-down order for now: the benchmark's counter self-check
+    pins its multiply counts.
     """
     return PolyMatrix([row[::-1] for row in reversed(rows)], n).determinant()
 

@@ -194,6 +194,26 @@ def test_verify_four_way_and_determinism(capsys):
     assert first.count("FAIL") == 0
 
 
+def test_verify_jobs_prints_the_same_bytes(capsys):
+    args = ["verify", "--suite", "four-way", "--max-cells", "3"]
+    assert main(args + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(args + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert serial.endswith(" failed=0\n")
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only verify --jobs > 1 needs concurrent.futures.process, so the CLI
+    # imports it there and not at start-up
+    src = str(Path(skewchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, skewchar.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
 def test_verify_reflection_and_eh(capsys):
     assert main(["verify", "--suite", "reflection"]) == 0
     capsys.readouterr()

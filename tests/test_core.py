@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -17,6 +18,8 @@ from skewchar import (
 )
 from skewchar import core
 from skewchar.core import partitions_upto
+from skewchar.formulas import _det_bottom_up, jacobi_trudi
+from skewchar.symfunc import TWIST, e_entry, elementary_pm
 from conftest import random_poly
 
 
@@ -332,6 +335,37 @@ def test_determinant_examples():
             [[one if i == j else LaurentPoly.zero(1) for j in range(dim)] for i in range(dim)]
         )
         assert ident.determinant() == one
+    # singular inputs: no minor survives some level
+    a, b, c = x(1), x(1, -1) + one, x(1, 2)
+    zero = LaurentPoly.zero(1)
+    for rows in (
+        [[a, b, c], [zero, zero, zero], [c, a, b]],  # a zero middle row
+        [[a, zero, c], [b, zero, a], [c, zero, b]],  # a zero column
+        [[a, b, c], [a, b, c], [b, c, a]],  # two equal rows
+        [[zero, a], [zero, b]],
+    ):
+        assert PolyMatrix(rows).determinant() == zero == leibniz(rows, 1)
+
+
+def test_banded_determinant_keeps_only_nonzero_minors():
+    # the dual-JT matrix of sp (18,) with n = 3 is 18 x 18 with at most 7
+    # nonzero entries a row; expanded bottom-up it keeps 171 nonzero
+    # minors over all levels, where listing every column subset built 2^18
+    lc, n = Partition((18,)).conjugate(), 3
+    k, t = TWIST[CharacterFamily.SP]
+    rows = [
+        [e_entry(lc.part(i) - i + 1, 1 - j, 0, k, t, n, elementary_pm) for j in range(1, 19)]
+        for i in range(1, 19)
+    ]
+    want = jacobi_trudi(CharacterFamily.SP, (18,), n=n)
+    tracemalloc.start()
+    try:
+        got = _det_bottom_up(rows, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 4 << 20, peak
 
 
 def test_two_level_determinant_banded_vs_leibniz(rng):
