@@ -382,8 +382,7 @@ def run_verify(args):
 
 def _map_cases(fn, cases, jobs):
     if jobs > 1:
-        # imported here: it costs every CLI start about 12 ms, and only
-        # --jobs > 1 uses it
+        # imported here, not at start-up: only --jobs > 1 pays its ~12 ms
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
