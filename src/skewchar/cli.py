@@ -19,6 +19,7 @@ from .formulas import Method, character
 from .paths import (
     Layout,
     MalformedFamilyError,
+    NoSiteError,
     Path,
     PathModel,
     StepKind,
@@ -325,22 +326,27 @@ def _run_involution(max_cells, n_range, m_range):
         model, starts, ends = model_and_endpoints(CharacterFamily.O_EVEN, sh, n, m)
         clean, dirty, clean_count = {}, {}, 0
         ok, detail = True, ""
-        for fam in enumerate_lgv_families(model, starts, ends):
-            weight = fam.signed_weight()
-            if fam.is_strongly_nonintersecting() and not find_trapped_positions(fam):
-                clean_count += 1
-                acc = clean
-                if fam.sign() != 1:
-                    ok, detail = False, "clean family with sign -1"
-            else:
-                acc = dirty
-                img = involution_step(fam)
-                if involution_step(img) != fam:
-                    ok, detail = False, "involution not involutive"
-                if img.signed_weight() != -weight:
-                    ok, detail = False, "weight not negated"
-            for e, c in weight.terms.items():
-                acc[e] = acc.get(e, 0) + c
+        try:
+            for fam in enumerate_lgv_families(model, starts, ends):
+                weight = fam.signed_weight()
+                if fam.is_strongly_nonintersecting() and not find_trapped_positions(fam):
+                    clean_count += 1
+                    acc = clean
+                    if fam.sign() != 1:
+                        ok, detail = False, "clean family with sign -1"
+                else:
+                    acc = dirty
+                    img = involution_step(fam)
+                    if involution_step(img) != fam:
+                        ok, detail = False, "involution not involutive"
+                    if img.signed_weight() != -weight:
+                        ok, detail = False, "weight not negated"
+                for e, c in weight.terms.items():
+                    acc[e] = acc.get(e, 0) + c
+        except (MalformedFamilyError, NoSiteError) as exc:
+            # a broken rule is a failed check of this case, not a crash
+            results.append((name, False, "%s: %s" % (type(exc).__name__, exc)))
+            continue
         if any(dirty.values()):
             ok, detail = False, "dirty families do not cancel"
         oracle = character_by_tableaux(CharacterFamily.O_EVEN, sh, n, m)

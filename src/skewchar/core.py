@@ -1,5 +1,7 @@
 """Partitions, skew shapes, Frobenius coordinates, exact Laurent polynomials
-and exact determinants of polynomial matrices.
+and exact determinants of polynomial matrices.  A Laurent polynomial known
+to be B_n-invariant is stored and multiplied as a symmetric polynomial in
+y_i = x_i + x_i^-1 (see LaurentPoly).
 
 Every value is immutable as seen from outside and every operation is a pure
 function.  A LaurentPoly fills a few private slots lazily (its full terms,
@@ -12,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product, repeat
 from math import comb, factorial
-from operator import add, ge, mul
+from operator import add, ge, mul, sub
 
 
 class Partition:
@@ -204,66 +206,67 @@ class LaurentPoly:
     The internal flag _invariant is a promise that the polynomial is
     invariant under the hyperoctahedral group B_n (permutations of the
     variables and x_i -> x_i^-1).  No public constructor takes it: it is
-    set through _owning only where it is proven, by the constants and by
+    set through _from_y only where it is proven, by the constants and by
     the e/h tables of the doubled alphabet (symfunc).  Sums, negations,
     scalings and products of promised values keep it.
 
-    A promised value stores its coefficients at the dominant weights nu
-    (nu_1 >= ... >= nu_n >= 0), one per orbit, and those operations work on
-    them alone: a product of two promised values computes only dominant
-    coefficients where that pays (see __mul__), and no orbit is written out.
-    terms is then a read-only view, expanded from the orbits once, on first
-    read: by output, by equality with an unpromised value, by hashing and
-    by the term-pair loop.  Equality, hashing and every output ignore the
-    promise.
+    A B_n-invariant Laurent polynomial is a symmetric polynomial in
+    y_i = x_i + x_i^-1, and a promised value is stored only so: as its
+    coefficients c_lam in the monomial symmetric functions m_lam(y), one
+    per partition lam of at most n_vars parts, each key lam padded with
+    zeros to n_vars entries.  m_0(y) is the constant 1, so sums,
+    negations, scalings and constants read alike in either basis.  Those
+    operations work on the y coefficients alone, and a product of two
+    promised values is computed in y (see __mul__): no x-term is built.
+    terms is then a read-only view, written out from the y coefficients
+    once, on first read (_x_terms): by output, by equality with an
+    unpromised value, by hashing and by a product with an unpromised
+    value.  Equality, hashing and every output ignore the promise.
     """
 
-    __slots__ = ("n_vars", "_terms", "_dom", "_envelope", "_packed")
+    __slots__ = ("n_vars", "_terms", "_y", "_envelope", "_packed")
 
     def __init__(self, n_vars, terms=None):
         self.n_vars = n_vars
         self._terms = dict(terms) if terms else {}
-        self._dom = None  # coefficients at dominant weights of a promised value
+        self._y = None  # coefficients in m_lam(y) of a promised value
         self._envelope = None  # of a promised operand, see _envelope
-        self._packed = None  # (digit width, packed terms), see _packed
+        self._packed = None  # (digit width, packed y-monomials), see _packed
 
     @property
     def terms(self):
         terms = self._terms
         if terms is None:
-            terms = {}
-            for nu, c in self._dom.items():
-                terms.update(zip(_orbit(nu), repeat(c)))
-            self._terms = terms
+            terms = self._terms = _x_terms(self._y)
         return terms
 
     @property
     def _invariant(self):
-        return self._dom is not None
+        return self._y is not None
 
     def _stored(self):
-        """The stored coefficients: the dominant ones of a promised value,
-        every term of any other."""
-        return self._terms if self._dom is None else self._dom
+        """The stored coefficients: the y ones of a promised value, every
+        term of any other."""
+        return self._terms if self._y is None else self._y
 
     def _like(self, coeffs):
         """A value of self's kind that takes over coeffs, a fresh dict keyed
         like _stored."""
-        if self._dom is None:
-            return _owning(self.n_vars, coeffs, False)
-        return _dominant(self.n_vars, coeffs)
+        if self._y is None:
+            return _owning(self.n_vars, coeffs)
+        return _from_y(self.n_vars, coeffs)
 
     @classmethod
     def zero(cls, n_vars):
-        return _owning(n_vars, {}, True)
+        return _from_y(n_vars, {})
 
     @classmethod
     def one(cls, n_vars):
-        return _owning(n_vars, {(0,) * n_vars: 1}, True)
+        return _from_y(n_vars, {(0,) * n_vars: 1})
 
     @classmethod
     def constant(cls, n_vars, c):
-        return _owning(n_vars, {(0,) * n_vars: int(c)} if c else {}, True)
+        return _from_y(n_vars, {(0,) * n_vars: int(c)} if c else {})
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -282,20 +285,20 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly) or self.n_vars != other.n_vars:
             return False
-        if self._dom is not None and other._dom is not None:
-            return self._dom == other._dom
+        if self._y is not None and other._y is not None:
+            return self._y == other._y
         return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n_vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        """Two promised values add their dominant coefficients, any other
-        pair their terms."""
+        """Two promised values add their y coefficients, any other pair
+        their terms."""
         self._check(other)
-        if self._dom is not None and other._dom is not None:
-            return _dominant(self.n_vars, _sum(self._dom, other._dom))
-        return _owning(self.n_vars, _sum(self.terms, other.terms), False)
+        if self._y is not None and other._y is not None:
+            return _from_y(self.n_vars, _sum(self._y, other._y))
+        return _owning(self.n_vars, _sum(self.terms, other.terms))
 
     def __neg__(self):
         return self._like({e: -c for e, c in self._stored().items()})
@@ -305,27 +308,25 @@ class LaurentPoly:
 
     def __mul__(self, other):
         """Product.  A nonzero constant operand scales the other one; two
-        nonzero promised operands are multiplied on dominant weights only
-        where that pays (_invariant_mul); any other pair by the term-pair
-        loop (_term_pair_mul).  The result keeps the promise if both
-        operands had it."""
+        promised operands are multiplied in y (_invariant_mul); any other
+        pair by the term-pair loop on their terms (_term_pair_mul).  The
+        result keeps the promise if both operands had it."""
         if isinstance(other, int):
             return self.scaled(other)
         self._check(other)
         n = self.n_vars
-        invariant = self._dom is not None and other._dom is not None
+        invariant = self._y is not None and other._y is not None
         for const, rest in ((self, other), (other, self)):
             c = _constant(const)
             if c is not None:
                 if invariant:
-                    return _dominant(n, {e: k * c for e, k in rest._dom.items()})
-                return _owning(n, {e: k * c for e, k in rest.terms.items()}, False)
-        if invariant and n and self._dom and other._dom:
-            small, large = (other, self) if _size(self) > _size(other) else (self, other)
-            product = _invariant_mul(n, small, large)
-            if product is not None:
-                return product
-        return _owning(n, _term_pair_mul(n, self.terms, other.terms), invariant)
+                    return _from_y(n, {e: k * c for e, k in rest._y.items()})
+                return _owning(n, {e: k * c for e, k in rest.terms.items()})
+        if not invariant:
+            return _owning(n, _term_pair_mul(n, self.terms, other.terms))
+        if not (self._y and other._y):
+            return _from_y(n, {})
+        return _invariant_mul(n, self, other)
 
     __rmul__ = __mul__
 
@@ -433,32 +434,32 @@ def _text_order(terms):
     return sorted(sorted(terms), key=sum, reverse=True)
 
 
-def _owning(n_vars, terms, invariant):
-    """A LaurentPoly that takes over terms, a fresh dict, without copying
-    it; a promised one also stores its coefficients at dominant weights."""
+def _owning(n_vars, terms):
+    """An unpromised LaurentPoly that takes over terms, a fresh dict,
+    without copying it."""
     poly = object.__new__(LaurentPoly)
     poly.n_vars = n_vars
     poly._terms = terms
-    poly._dom = {e: c for e, c in terms.items() if _is_dominant(e)} if invariant else None
-    poly._envelope = poly._packed = None
+    poly._y = poly._envelope = poly._packed = None
     return poly
 
 
-def _dominant(n_vars, dom):
-    """A promised LaurentPoly that takes over dom, a fresh dict from
-    dominant weights to nonzero coefficients; its terms are expanded on
-    first read."""
+def _from_y(n_vars, y):
+    """A promised LaurentPoly that takes over y, a fresh dict from
+    partitions (n_vars entries, zero padded) to nonzero coefficients in
+    m_lam(y); its terms are written out on first read."""
     poly = object.__new__(LaurentPoly)
     poly.n_vars = n_vars
     poly._terms = None
-    poly._dom = dom
+    poly._y = y
     poly._envelope = poly._packed = None
     return poly
 
 
-def _is_dominant(e):
+def _is_partition(e):
+    """True if e is weakly decreasing and nonnegative: a zero-padded
+    partition, and as an x-weight the dominant weight of its B_n orbit."""
     return not e or (e[-1] >= 0 and all(map(ge, e, e[1:])))
-
 
 def _sum(x, y):
     """The sum of two coefficient dicts as a fresh dict without zeros: a
@@ -512,13 +513,19 @@ def _term_pair_mul(n, a, b):
     weights = _weights(n, w)
     pa = [(sum(map(mul, e, weights)), c) for e, c in a.items()]
     pb = [(sum(map(mul, e, weights)), c) for e, c in b.items()]
+    return _unpack(_pair_products(pa, pb), n, w)
+
+
+def _pair_products(pa, pb):
+    """{ka + kb: the sum of ca * cb} over the pairs of packed terms
+    (ka, ca) of pa and (kb, cb) of pb, one int add per pair."""
     acc = {}
     get = acc.get
     for ka, ca in pa:
         for kb, cb in pb:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
-    return _unpack(acc, n, w)
+    return acc
 
 
 def _constant(poly):
@@ -532,25 +539,20 @@ def _constant(poly):
     return None
 
 
-def _size(poly):
-    """The number of terms, counted from the orbits until they are written."""
-    terms = poly._terms
-    if terms is not None:
-        return len(terms)
-    return sum(map(len, map(_orbit, poly._dom)))
-
-
 def _envelope(poly):
     """The envelope (F, parities) of a nonzero promised polynomial,
-    computed once: F[k-1] is the largest sum of the k largest |exponents|
-    of a term, and parities holds the parity of every term's exponent sum.
-    Both are read from the dominant weights alone: a term's |exponents|
-    and the parity of its exponent sum are those of the dominant weight nu
-    of its orbit, whose k largest |exponents| are nu_1, ..., nu_k, so F[k-1]
-    is the largest nu_1 + ... + nu_k over the stored nu."""
+    computed once: F[k-1] is the largest lam_1 + ... + lam_k over its y
+    keys lam, and parities holds every |lam| mod 2.
+
+    It is also the envelope of the x-terms, the largest sum of the k
+    largest |exponents| of a term and the parities of the exponent sums.
+    Every x-term of m_lam(y) has the parity of |lam|, and its sorted
+    |exponents| lie below lam entry by entry, so no x-term exceeds these
+    bounds; they are reached, since a key with no other key of its parity
+    above it entry by entry is an x-term, with its own coefficient."""
     env = poly._envelope
     if env is None:
-        cols = zip(*poly._dom)
+        cols = zip(*poly._y)
         run = next(cols)
         bound = [max(run)]
         for col in cols:
@@ -560,16 +562,20 @@ def _envelope(poly):
     return env
 
 
-# dominant-candidate lists and orbits kept at once; the 4x4-box sweep of
-# acceptance criterion 1 (dual-JT, JT and Giambelli) uses 395 lists and 109
-# orbits, and sp (6,6,6,6)/(2) by JT with n=4 and m=1 uses 337 and 809
+# S_n orbits, B_n orbits, candidate lists and x-expansions of m_lam(y)
+# kept at once, of each kind.  The 4x4-box sweep of acceptance criterion 1
+# (dual-JT, JT and Giambelli, no terms written out) fills 326 candidate
+# lists and 70 S_n orbits; sp (6,6,6,6)/(2) by JT with n=4 and m=1, its
+# terms written out, 17 lists, 196 S_n orbits, 109 B_n orbits and 106
+# expansions; o (12,12,12) by JT with n=3 at most 413, its S_n orbits
 KERNEL_CACHE_SIZE = 1024
 
-# packed orbits kept at once, one per (nu, digit width).  Nearly all are at
-# KEY_WIDTH_FLOOR: the verify-box and wide-row plans of perfbench (seeds 1
-# and 4) fill at most 109 and 64 entries, the criterion-1 sweep 109 and
-# sp (6,6,6,6)/(2) by JT with n=4 and m=1 791.  A value keeps the packing
-# of one width only (_packed), so it holds no cache that grows.
+# packed S_n orbits kept at once, one per (lam, digit width).  Nearly all
+# are at KEY_WIDTH_FLOOR: the verify-box and wide-row plans of perfbench
+# (seeds 1 and 4) fill at most 70 and 61 entries, the criterion-1 sweep 70,
+# sp (6,6,6,6)/(2) by JT with n=4 and m=1 189 and o (12,12,12) by JT 375.
+# A value keeps the packing of one width only (_packed), so it holds no
+# cache that grows.
 PACKED_ORBIT_CACHE_SIZE = 1024
 
 # the least digit width of packed keys.  Every product whose envelope has
@@ -579,108 +585,198 @@ PACKED_ORBIT_CACHE_SIZE = 1024
 # o (12,12,12) and sp (6,6,6,6)/(2) does.
 KEY_WIDTH_FLOOR = 8
 
+# the product kernel runs while its candidates number at most KERNEL_RATIO
+# times the y-monomials of the larger operand, and lists them to count
+# them where their bound is at most CANDIDATE_PROBE (see _invariant_mul)
+KERNEL_RATIO = 2
+CANDIDATE_PROBE = 1 << 14
+
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _candidates(bound, parities):
-    """The dominant weights nu_1 >= ... >= nu_n >= 0 whose k-th partial sum
-    is at most bound[k-1] and whose |nu| mod 2 is in parities, as
-    (w, nus, keys): keys packs nus at the digit width
+    """The partitions lam_1 >= ... >= lam_n >= 0 whose k-th partial sum is
+    at most bound[k-1] and whose |lam| mod 2 is in parities, as
+    (w, lams, keys): keys packs lams at the digit width
     w = max(KEY_WIDTH_FLOOR, _key_width(2 * bound[0]))."""
     n = len(bound)
     w = max(KEY_WIDTH_FLOOR, _key_width(2 * bound[0]))
-    nus = []
+    lams = []
 
     def rec(prefix, total, cap):
         k = len(prefix)
         if k == n:
             if total & 1 in parities:
-                nus.append(prefix)
+                lams.append(prefix)
             return
         for x in range(min(cap, bound[k] - total), -1, -1):
             rec(prefix + (x,), total + x, x)
 
     rec((), 0, bound[0])
     weights = _weights(n, w)
-    return w, tuple(nus), tuple(sum(map(mul, nu, weights)) for nu in nus)
+    return w, tuple(lams), tuple(sum(map(mul, lam, weights)) for lam in lams)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _sn_orbit(lam):
+    """The S_n orbit of a partition: its distinct permutations."""
+    return tuple(dict.fromkeys(permutations(lam)))
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _orbit(nu):
-    """The B_n orbit of a dominant weight: its distinct signed permutations."""
-    signed = product(*(((x, -x) if x else (0,)) for x in nu))
-    return tuple({p for s in signed for p in permutations(s)})
+    """The B_n orbit of a dominant x-weight: its distinct signed
+    permutations, each distinct permutation with every choice of signs
+    of its nonzero entries."""
+    return tuple(s for p in _sn_orbit(nu) for s in product(*(((x, -x) if x else (0,)) for x in p)))
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _x_dominant(lam):
+    """m_lam(y) at the dominant x-weights nu, as ((nu, coefficient), ...).
+
+    y_i^k = sum_j C(k, j) x_i^(k-2j), whose coefficients are symmetric
+    under x_i -> x_i^-1, so the coefficient of x^nu is the sum over the
+    distinct permutations p of lam of the products of C(p_i, (p_i - nu_i)/2)
+    over i, each nu_i at most p_i and of p_i's parity.  nu is built one
+    entry at a time, each at most the one before."""
+    n = len(lam)
+    out = {}
+    rows = {k: _binomial_row(k) for k in set(lam)}
+
+    def rec(p, nu, cap, coeff):
+        i = len(nu)
+        if i == n:
+            out[nu] = out.get(nu, 0) + coeff
+            return
+        k = p[i]
+        row = rows[k]
+        top = min(k, cap)
+        for v in range(top - ((k - top) & 1), -1, -2):
+            rec(p, nu + (v,), v, coeff * row[(k - v) >> 1])
+
+    for p in _sn_orbit(lam):
+        rec(p, (), max(lam, default=0), 1)
+    return tuple(out.items())
+
+
+def _binomial_row(k):
+    """C(k, j) for j = 0..k // 2, each from the one before."""
+    row = [1]
+    for j in range(k // 2):
+        row.append(row[-1] * (k - j) // (j + 1))
+    return row
+
+
+def _x_terms(y):
+    """The terms of the sum of c_lam m_lam(y): its coefficients at the
+    dominant x-weights, summed over lam (_x_dominant), then each B_n orbit
+    written out."""
+    dom = {}
+    get = dom.get
+    for lam, c in y.items():
+        for nu, k in _x_dominant(lam):
+            dom[nu] = get(nu, 0) + c * k
+    terms = {}
+    for nu, c in dom.items():
+        if c:
+            terms.update(zip(_orbit(nu), repeat(c)))
+    return terms
 
 
 @lru_cache(maxsize=PACKED_ORBIT_CACHE_SIZE)
-def _packed_orbit(nu, w):
-    """The orbit of nu as packed keys of digit width w."""
-    weights = _weights(len(nu), w)
-    return tuple(sum(map(mul, e, weights)) for e in _orbit(nu))
+def _packed_orbit(lam, w):
+    """The S_n orbit of lam as packed keys of digit width w."""
+    weights = _weights(len(lam), w)
+    return tuple(sum(map(mul, e, weights)) for e in _sn_orbit(lam))
 
 
 def _packed(poly, w):
-    """The terms of a promised poly as {key at digit width w: coefficient},
-    built from the packed orbits of its dominant weights and kept for the
-    latest w only."""
+    """The y-monomials of a promised poly as {key at digit width w:
+    coefficient}, built from the packed S_n orbits of its keys and kept
+    for the latest w only."""
     packed = poly._packed
     if packed is None or packed[0] != w:
         keys = {}
-        for nu, c in poly._dom.items():
-            keys.update(zip(_packed_orbit(nu, w), repeat(c)))
+        for lam, c in poly._y.items():
+            keys.update(zip(_packed_orbit(lam, w), repeat(c)))
         packed = poly._packed = w, keys
     return packed[1]
 
 
 def _product_envelope(small, large):
     """Bounds on the product's envelope, the candidates' bound and parities:
-    the sum of the k largest |exponents| is a norm, so at a product term it
-    is at most the same sum for small plus that for large."""
+    the sum of the k largest entries is a norm on y-exponent vectors, so
+    at a y-monomial of the product it is at most the same sum for small
+    plus that for large."""
     bs, ps = _envelope(small)
     bl, pl = _envelope(large)
     return tuple(map(add, bs, bl)), frozenset((p + q) & 1 for p in ps for q in pl)
 
 
-def _invariant_mul(n, small, large):
-    """Product of two nonzero B_n-invariant polynomials, small the one with
-    fewer terms, on dominant weights only (_dominant_mul), or None where
-    the term-pair loop costs less.
+def _invariant_mul(n, a, b):
+    """Product of two nonzero promised values in y: at the candidate
+    partitions only (_y_mul), or by the term-pair loop over their
+    y-monomials (_y_term_pair_mul) where that costs less.
 
-    A candidate costs one pass over small in C, about half what a term of
-    large costs in the term-pair loop.  The candidates number at most
+    Both operands are packed at the candidates' digit width first, and
+    small is the one with fewer y-monomials.  The kernel looks each
+    candidate up once per y-monomial of small, the loop takes each pair
+    of y-monomials; a lookup costs about what a pair does, and the loop
+    also decodes every key it makes, so the kernel is taken while the
+    candidates number at most KERNEL_RATIO times the y-monomials of large.
+    Their count is first bounded without listing them: at most
     C(F_1 + n, n), the weakly decreasing tuples below the bound F_1 on
-    nu_1, and at most C(F_n + n(n+1)/2, n) / n!, since nu + (n-1, ..., 0)
-    is strictly decreasing with sum at most F_n + n(n-1)/2.  Where that
-    count exceeds twice the terms of large (sparse operands with large
-    exponents) the product is left to the term-pair loop.
+    lam_1, and at most C(F_n + n(n+1)/2, n) / n!, since lam + (n-1, ..., 0)
+    is strictly decreasing with sum at most F_n + n(n-1)/2.  That bound is
+    loose, so where it is over the budget but at most CANDIDATE_PROBE the
+    candidates are listed (and cached) and counted.  Sparse operands with
+    large exponents, whose bound is far over, take the loop at once.
     """
-    bound, parities = _product_envelope(small, large)
+    bound, parities = _product_envelope(a, b)
+    w = max(KEY_WIDTH_FLOOR, _key_width(2 * bound[0]))
+    small, large = a, b
+    if len(_packed(a, w)) > len(_packed(b, w)):
+        small, large = b, a
+    budget = KERNEL_RATIO * len(large._packed[1])
     most = min(comb(bound[0] + n, n), comb(bound[-1] + n * (n + 1) // 2, n) // factorial(n))
-    if most > 2 * _size(large):
-        return None
-    return _dominant_mul(n, small, large, _candidates(bound, parities))
+    if most > budget and (most > CANDIDATE_PROBE or len(_candidates(bound, parities)[1]) > budget):
+        return _from_y(n, _y_term_pair_mul(n, small._packed[1], large._packed[1], w))
+    return _from_y(n, _y_mul(small, large._packed[1], _candidates(bound, parities)))
 
 
-def _dominant_mul(n, small, large, candidates):
-    """The product of B_n-invariant small and large from its coefficients
-    at the candidate dominant weights nu (see _candidates), c_nu = sum over
-    alpha in small of small[alpha] * large[nu - alpha].
+def _y_mul(small, large, candidates):
+    """The y coefficients of the product of a promised small and the packed
+    y-monomials large of a promised value at the candidate partitions lam
+    (see _candidates): c_lam = the sum over the y-monomials alpha of small
+    of small[alpha] * large[lam - alpha].
 
-    Both operands are packed at the candidates' width w (_packed), so a
-    candidate's key minus one of small is the key of the difference.  Every
-    digit of such a difference and of a key of large is at most
-    2 * bound[0] < 2^(w-1) in absolute value, so no lookup aliases a
-    different weight.
+    The keys are packed at the candidates' width w, so a candidate's key
+    minus one of small is the key of the difference.  Every digit of such a
+    difference and of a key of large is at most 2 * bound[0] < 2^(w-1) in
+    absolute value, so no lookup aliases a different monomial.  small has
+    few y-monomials, so the loop runs over them, the S_n orbit of each of
+    its keys at a time (they share a coefficient), and looks every
+    candidate up at once for each.
     """
-    w, nus, keys = candidates
-    get = _packed(large, w).get
-    packed = _packed(small, w)
-    coeffs = packed.values()
-    dom = {}
-    for nu, key in zip(nus, keys):
-        c = sum(map(mul, coeffs, map(get, map(key.__sub__, packed), repeat(0))))
-        if c:
-            dom[nu] = c
-    return _dominant(n, dom)
+    w, lams, keys = candidates
+    get = large.get
+    acc = [0] * len(keys)
+    for lam, c in small._y.items():
+        col = None
+        for alpha in _packed_orbit(lam, w):
+            hits = map(get, map(sub, keys, repeat(alpha)), repeat(0))
+            col = hits if col is None else list(map(add, col, hits))
+        acc = list(map(add, acc, col if c == 1 else map(c.__mul__, col)))
+    return {lam: c for lam, c in zip(lams, acc) if c}
+
+
+def _y_term_pair_mul(n, small, large, w):
+    """The y coefficients of the product of two promised values from their
+    packed y-monomials small and large at digit width w, by the term-pair
+    loop, with only the partitions kept: the product is symmetric, so its
+    coefficient at the monomial y^lam is its coefficient c_lam."""
+    terms = _unpack(_pair_products(small.items(), large.items()), n, w)
+    return {e: c for e, c in terms.items() if _is_partition(e)}
 
 
 class PolyMatrix:

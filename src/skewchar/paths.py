@@ -999,15 +999,24 @@ def _rewrite(pf, old_pts, new_pts):
     raise MalformedFamilyError("segment %r not found" % (old_pts,))
 
 
+def _index_of(pts, point):
+    """The index of point in the point list pts of one path; a family whose
+    path misses a point the rule needs is malformed."""
+    for k, pt in enumerate(pts):
+        if pt == point:
+            return k
+    raise MalformedFamilyError("point %r not on the path" % (point,))
+
+
 def _resolve_crossing(pf, site):
     """Open the arc-over-verticals crossing into two left turns, swapping tails."""
     i, k, other = site
     paths = list(pf.paths)
     pts_a = paths[i].points()
     d = pts_a[k][0] + 1
-    ka = next(kk for kk, pt in enumerate(pts_a) if pt == (d - 1, d + 1))
+    ka = _index_of(pts_a, (d - 1, d + 1))
     pts_b = paths[other].points()
-    kb = next(kk for kk, pt in enumerate(pts_b) if pt == (d, d + 1))
+    kb = _index_of(pts_b, (d, d + 1))
     new_a = pts_a[: ka + 1] + [(d, d + 1), (d, d + 2)] + pts_b[kb + 2 :]
     new_b = pts_b[:kb] + [(d + 1, d), (d + 1, d + 1)] + pts_a[ka + 2 :]
     paths[i] = Path.from_points(new_a)
@@ -1032,8 +1041,8 @@ def _form_crossing(pf, D):
     ia, ib = high[0], low[0]  # ia receives the arc, ib the verticals
     pts_a = paths[ia].points()
     pts_b = paths[ib].points()
-    ka = next(k for k, pt in enumerate(pts_a) if pt == (d, d + 1))
-    kb = next(k for k, pt in enumerate(pts_b) if pt == (d + 1, d))
+    ka = _index_of(pts_a, (d, d + 1))
+    kb = _index_of(pts_b, (d + 1, d))
     new_a = pts_a[:ka] + [(d + 1, d + 1)] + pts_b[kb + 2 :]
     new_b = pts_b[:kb] + [(d, d + 1), (d, d + 2)] + pts_a[ka + 2 :]
     paths[ia] = Path.from_points(new_a)

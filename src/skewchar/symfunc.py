@@ -7,8 +7,9 @@ determinant formulas.
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .core import LaurentPoly, Partition, PolyMatrix, _owning
+from .core import LaurentPoly, Partition, PolyMatrix, _from_y
 
 
 class CharacterFamily(Enum):
@@ -22,19 +23,6 @@ class DegeneratePointError(ValueError):
     """The Weyl denominator determinant vanished; retry with another point."""
 
 
-def doubled_letters(n):
-    """Exponent vectors of the 2n letters x1, x1^-1, ..., xn, xn^-1."""
-    letters = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        letters.append(tuple(e))
-        e = [0] * n
-        e[i] = -1
-        letters.append(tuple(e))
-    return letters
-
-
 def plain_letters(n):
     letters = []
     for i in range(n):
@@ -45,42 +33,87 @@ def plain_letters(n):
 
 
 # e/h tables kept at once.  A benchmark warm-up builds at most 84 of them
-# (n <= 3, r <= 12, both alphabets) and a cold complete_pm(1200, 1) builds
-# 1,201, so both fit; the h tables recurse on r - 1, and _complete's steps
-# keep that recursion within _H_STEP levels even after an eviction.
+# (n <= 3, r <= 12, both alphabets) and a cold complete_plain(1200, 1)
+# builds 1,201, so both fit; the plain h tables recurse on r - 1, and
+# _complete's steps keep that recursion within _H_STEP levels even after an
+# eviction.  The doubled alphabet's tables are read off in y, with no
+# recursion.
 EH_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=EH_CACHE_SIZE)
 def _e_table(n, doubled):
-    """e_0..e_N as a tuple, N = number of letters."""
-    letters = doubled_letters(n) if doubled else plain_letters(n)
-    table = [LaurentPoly.one(n)] + [LaurentPoly.zero(n)] * len(letters)
+    """e_0..e_N as a tuple, N = number of letters.
+
+    Over the doubled alphabet E(t) = prod_i (1 + y_i t + t^2) with
+    y_i = x_i + x_i^-1, so e_r is the sum over j of r's parity of
+    C(n - j, (r - j) / 2) m_(1^j)(y): j factors give y_i t and (r - j) / 2
+    of the others give t^2."""
+    if doubled:
+        table = []
+        for r in range(2 * n + 1):
+            y = {}
+            for j in range(r & 1, min(r, n) + 1, 2):
+                c = comb(n - j, (r - j) // 2)
+                if c:
+                    y[(1,) * j + (0,) * (n - j)] = c
+            table.append(_from_y(n, y))
+        return tuple(table)
+    letters = plain_letters(n)
+    table = [LaurentPoly.one(n)] + [LaurentPoly.zero(n)] * n
     for ell in letters:
         # process letters one at a time: e_k += e_{k-1} * letter
-        for k in range(len(letters), 0, -1):
+        for k in range(n, 0, -1):
             table[k] = table[k] + table[k - 1].mul_monomial(ell)
-    if doubled:  # e_k of x1, x1^-1, ..., xn, xn^-1 is B_n-invariant
-        table = [_owning(n, t.terms, True) for t in table]
     return tuple(table)
 
 
 @lru_cache(maxsize=EH_CACHE_SIZE)
 def _h_table(n, r, doubled):
-    """h_r of each prefix x_1..x_j of the alphabet, j = 0..N, as a tuple; the
-    last entry is h_r of the whole alphabet.  Entry r is built from entry
-    r - 1, so each (n, r, alphabet) is built once."""
-    letters = doubled_letters(n) if doubled else plain_letters(n)
+    """h_r of the alphabet, the last entry of a tuple.
+
+    For the plain alphabet the tuple holds h_r of each prefix x_1..x_j,
+    j = 0..n, and entry r is built from entry r - 1, so each (n, r) is
+    built once.  For the doubled alphabet it holds h_r alone, read off
+    H(t) = 1 / E(-t) = prod_i sum_k U_k t^k, where
+    U_k = sum_j (-1)^j C(k - j, j) y_i^(k-2j): the coefficient of
+    m_lam(y) is (-1)^s C(s + |lam| + n - 1, s), s = (r - |lam|) / 2, the
+    coefficient of t^s in (1 - t)^-(|lam| + n), over the partitions lam of
+    at most n parts whose size is at most r and of r's parity."""
     if r == 0:
-        return (LaurentPoly.one(n),) * (len(letters) + 1)
+        return (LaurentPoly.one(n),) * (1 if doubled else n + 1)
+    if doubled:
+        y = {}
+        for lam in _padded_partitions(n, r):
+            size = sum(lam)
+            s = (r - size) >> 1
+            c = comb(s + size + n - 1, s)
+            if c:
+                y[lam] = -c if s & 1 else c
+        return (_from_y(n, y),)
     prev = _h_table(n, r - 1, doubled)
     table = [LaurentPoly.zero(n)]
-    for j, ell in enumerate(letters, start=1):
+    for j, ell in enumerate(plain_letters(n), start=1):
         # h_r(x_1..x_j) = h_r(x_1..x_{j-1}) + x_j * h_{r-1}(x_1..x_j)
         table.append(table[-1] + prev[j].mul_monomial(ell))
-    if doubled:  # only the whole doubled alphabet is B_n-invariant
-        table[-1] = _owning(n, table[-1].terms, True)
     return tuple(table)
+
+
+def _padded_partitions(n, r):
+    """The partitions of at most n parts and size at most r whose size has
+    r's parity, each as n entries, zero padded."""
+    out = []
+
+    def rec(prefix, rest, cap):
+        if len(prefix) == n:
+            if not rest & 1:
+                out.append(prefix)
+            return
+        for x in range(min(cap, rest), -1, -1):
+            rec(prefix + (x,), rest - x, x)
+
+    rec((), r, r)
+    return out
 
 
 _H_STEP = 200
@@ -89,9 +122,10 @@ _H_STEP = 200
 def _complete(r, n, doubled):
     if r < 0:
         return LaurentPoly.zero(n)
-    # a cold start builds from below in steps, so recursion stays shallow
-    for k in range(_H_STEP, r, _H_STEP):
-        _h_table(n, k, doubled)
+    if not doubled:
+        # a cold start builds from below in steps, so recursion stays shallow
+        for k in range(_H_STEP, r, _H_STEP):
+            _h_table(n, k, False)
     return _h_table(n, r, doubled)[-1]
 
 

@@ -247,6 +247,23 @@ def test_verify_involution_each_case_once(capsys):
     assert lines[-1] == "checked=158 passed=158 failed=0"
 
 
+@pytest.mark.parametrize("error", [skewchar.MalformedFamilyError, skewchar.NoSiteError])
+def test_verify_involution_reports_a_broken_rule_as_a_fail_line(error, monkeypatch, capsys):
+    # a rule that cannot apply to a dirty family fails its case with the
+    # message, and verify goes on to the other cases and exits 1
+    def broken(fam):
+        raise error("segment not found")
+
+    monkeypatch.setattr(cli, "involution_step", broken)
+    assert main(["verify", "--suite", "involution", "--max-cells", "2", "--n", "1..1", "--m", "0..1"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL involution ")]
+    assert fails and all(line.endswith(": %s: segment not found" % error.__name__) for line in fails)
+    assert lines[-1] == "checked=%d passed=%d failed=%d" % (len(lines) - 1, len(lines) - 1 - len(fails), len(fails))
+    assert "Traceback" not in err
+
+
 def test_paths_rendering(tmp_path, capsys):
     out = str(tmp_path / "fam")
     rc = main(

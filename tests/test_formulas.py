@@ -144,7 +144,8 @@ def test_every_cache_is_bounded():
             if callable(getattr(value, "cache_parameters", None)):
                 cached["%s.%s" % (info.name, name)] = value.cache_parameters()["maxsize"]
     assert {"symfunc._e_table", "symfunc._h_table", "formulas._dual_jt_cached",
-            "core._candidates", "core._orbit", "paths._steps_from"} <= set(cached)
+            "core._candidates", "core._orbit", "core._sn_orbit", "core._x_dominant",
+            "paths._steps_from"} <= set(cached)
     unbounded = [name for name, maxsize in cached.items() if maxsize is None]
     assert not unbounded, unbounded
 
