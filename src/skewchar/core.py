@@ -461,6 +461,7 @@ def _is_partition(e):
     partition, and as an x-weight the dominant weight of its B_n orbit."""
     return not e or (e[-1] >= 0 and all(map(ge, e, e[1:])))
 
+
 def _sum(x, y):
     """The sum of two coefficient dicts as a fresh dict without zeros: a
     copy of the longer one with the other added into it."""
@@ -563,11 +564,12 @@ def _envelope(poly):
 
 
 # S_n orbits, B_n orbits, candidate lists and x-expansions of m_lam(y)
-# kept at once, of each kind.  The 4x4-box sweep of acceptance criterion 1
-# (dual-JT, JT and Giambelli, no terms written out) fills 326 candidate
-# lists and 70 S_n orbits; sp (6,6,6,6)/(2) by JT with n=4 and m=1, its
-# terms written out, 17 lists, 196 S_n orbits, 109 B_n orbits and 106
-# expansions; o (12,12,12) by JT with n=3 at most 413, its S_n orbits
+# (_x_dominant) kept at once, of each kind.  The 4x4-box sweep of
+# acceptance criterion 1 (dual-JT, JT and Giambelli, no terms written out)
+# fills 326 candidate lists and 70 S_n orbits; sp (6,6,6,6)/(2) by JT with
+# n=4 and m=1, its terms written out, 17 lists, 196 S_n orbits, 109 B_n
+# orbits and 106 expansions; o (12,12,12) by JT with n=3, the largest fill
+# measured, 413 S_n orbits
 KERNEL_CACHE_SIZE = 1024
 
 # packed S_n orbits kept at once, one per (lam, digit width).  Nearly all
@@ -641,7 +643,6 @@ def _x_dominant(lam):
     entry at a time, each at most the one before."""
     n = len(lam)
     out = {}
-    rows = {k: _binomial_row(k) for k in set(lam)}
 
     def rec(p, nu, cap, coeff):
         i = len(nu)
@@ -649,22 +650,13 @@ def _x_dominant(lam):
             out[nu] = out.get(nu, 0) + coeff
             return
         k = p[i]
-        row = rows[k]
         top = min(k, cap)
         for v in range(top - ((k - top) & 1), -1, -2):
-            rec(p, nu + (v,), v, coeff * row[(k - v) >> 1])
+            rec(p, nu + (v,), v, coeff * comb(k, (k - v) >> 1))
 
     for p in _sn_orbit(lam):
         rec(p, (), max(lam, default=0), 1)
     return tuple(out.items())
-
-
-def _binomial_row(k):
-    """C(k, j) for j = 0..k // 2, each from the one before."""
-    row = [1]
-    for j in range(k // 2):
-        row.append(row[-1] * (k - j) // (j + 1))
-    return row
 
 
 def _x_terms(y):
@@ -734,14 +726,14 @@ def _invariant_mul(n, a, b):
     """
     bound, parities = _product_envelope(a, b)
     w = max(KEY_WIDTH_FLOOR, _key_width(2 * bound[0]))
-    small, large = a, b
-    if len(_packed(a, w)) > len(_packed(b, w)):
-        small, large = b, a
-    budget = KERNEL_RATIO * len(large._packed[1])
+    small, large = _packed(a, w), _packed(b, w)
+    if len(small) > len(large):
+        a, small, large = b, large, small
+    budget = KERNEL_RATIO * len(large)
     most = min(comb(bound[0] + n, n), comb(bound[-1] + n * (n + 1) // 2, n) // factorial(n))
     if most > budget and (most > CANDIDATE_PROBE or len(_candidates(bound, parities)[1]) > budget):
-        return _from_y(n, _y_term_pair_mul(n, small._packed[1], large._packed[1], w))
-    return _from_y(n, _y_mul(small, large._packed[1], _candidates(bound, parities)))
+        return _from_y(n, _y_term_pair_mul(n, small, large, w))
+    return _from_y(n, _y_mul(a, large, _candidates(bound, parities)))
 
 
 def _y_mul(small, large, candidates):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .core import LaurentPoly, Partition, PolyMatrix, _from_y
+from .core import LaurentPoly, Partition, PolyMatrix, _from_y, partitions_upto
 
 
 class CharacterFamily(Enum):
@@ -84,12 +84,14 @@ def _h_table(n, r, doubled):
         return (LaurentPoly.one(n),) * (1 if doubled else n + 1)
     if doubled:
         y = {}
-        for lam in _padded_partitions(n, r):
-            size = sum(lam)
+        for lam in partitions_upto(r, n):
+            size = lam.size()
+            if (r - size) & 1:
+                continue
             s = (r - size) >> 1
             c = comb(s + size + n - 1, s)
             if c:
-                y[lam] = -c if s & 1 else c
+                y[lam.parts + (0,) * (n - len(lam))] = -c if s & 1 else c
         return (_from_y(n, y),)
     prev = _h_table(n, r - 1, doubled)
     table = [LaurentPoly.zero(n)]
@@ -97,23 +99,6 @@ def _h_table(n, r, doubled):
         # h_r(x_1..x_j) = h_r(x_1..x_{j-1}) + x_j * h_{r-1}(x_1..x_j)
         table.append(table[-1] + prev[j].mul_monomial(ell))
     return tuple(table)
-
-
-def _padded_partitions(n, r):
-    """The partitions of at most n parts and size at most r whose size has
-    r's parity, each as n entries, zero padded."""
-    out = []
-
-    def rec(prefix, rest, cap):
-        if len(prefix) == n:
-            if not rest & 1:
-                out.append(prefix)
-            return
-        for x in range(min(cap, rest), -1, -1):
-            rec(prefix + (x,), rest - x, x)
-
-    rec((), r, r)
-    return out
 
 
 _H_STEP = 200
