@@ -144,7 +144,7 @@ def untagged(poly):
     return LaurentPoly(poly.n_vars, poly.terms)
 
 
-def dominant_only(poly):
+def y_only(poly):
     """A promised copy of poly with its terms, envelope and packing not yet
     computed: its y coefficients alone."""
     return core._from_y(poly.n_vars, dict(poly._y))
@@ -236,7 +236,7 @@ def tuple_sum(a, b, sign=1):
 def test_dominant_storage_matches_the_tuple_form(pair, k):
     n, a, b = pair
     small_x = x_size(a) * x_size(b) <= X_LIMIT
-    da, db = dominant_only(a), dominant_only(b)
+    da, db = y_only(a), y_only(b)
     got = {
         "sum": da + db,
         "difference": da - db,
@@ -299,7 +299,7 @@ def test_envelope_from_dominant_weights_equals_the_one_over_terms(pair):
     for poly in (a, b):
         assume(n and not poly.is_zero())
         if x_size(poly) <= X_LIMIT:
-            assert core._envelope(dominant_only(poly)) == envelope_of_terms(poly.terms)
+            assert core._envelope(y_only(poly)) == envelope_of_terms(poly.terms)
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,8 +307,8 @@ def test_envelope_from_dominant_weights_equals_the_one_over_terms(pair):
 def test_zero_equality_and_hash_agree_with_untagged_copies(pair):
     n, a, b = pair
     small_x = x_size(a) * x_size(b) <= X_LIMIT
-    da, db = dominant_only(a), dominant_only(b)
-    cases = [(da, db), (db, da), (da, dominant_only(a)), (da - db, -(db - da)),
+    da, db = y_only(a), y_only(b)
+    cases = [(da, db), (db, da), (da, y_only(a)), (da - db, -(db - da)),
              (da - da, db - db), (da + db, db + da), (da, -da)]
     for x, y in cases:
         # both promised, terms not yet written: read off the y coefficients
@@ -364,7 +364,7 @@ def test_constant_operand_scales_the_other(n, monkeypatch):
     # when both operands carry it
     zero_weight = (0,) * n
     constants = [LaurentPoly.constant(n, 3), -LaurentPoly.one(n), LaurentPoly(n, {zero_weight: 3})]
-    others = [elementary_pm(2, n), dominant_only(complete_pm(2, n)), untagged(elementary_pm(2, n)),
+    others = [elementary_pm(2, n), y_only(complete_pm(2, n)), untagged(elementary_pm(2, n)),
               LaurentPoly(n, {tuple(range(1, n + 1)): 5, zero_weight: -2})]
     want = {(id(c), id(p)): tuple_loop_mul(c, p) for c in constants for p in others + constants}
 
@@ -468,7 +468,7 @@ def test_terms_of_y_values_match_brute_force(pair):
     n, a, b = pair
     for poly in (a, b, a - b):
         check_keys(poly)
-        assert dominant_only(poly).terms == x_terms_by_brute_force(n, poly._y)
+        assert y_only(poly).terms == x_terms_by_brute_force(n, poly._y)
 
 
 def test_terms_of_a_long_y_value_match_brute_force():
