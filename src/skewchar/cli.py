@@ -20,10 +20,9 @@ from .paths import (
     Layout,
     MalformedFamilyError,
     NoSiteError,
-    Path,
     PathModel,
-    StepKind,
     enumerate_lgv_families,
+    enumerate_paths,
     find_trapped_positions,
     involution_step,
     model_and_endpoints,
@@ -231,32 +230,24 @@ def _run_path_lemmas(bound, n_range):
     return results
 
 
-def _monotone_paths(frm, to):
-    """Every right/up path from frm to to."""
-    dx, dy = to[0] - frm[0], to[1] - frm[1]
-    if dx < 0 or dy < 0:
-        return
-    for pos in itertools.combinations(range(dx + dy), dx):
-        steps = [StepKind.UP] * (dx + dy)
-        for p in pos:
-            steps[p] = StepKind.RIGHT
-        yield Path(frm, steps)
-
-
 def _run_reflection(limit):
     """Reflecting the initial segment in y = x - 2 is a weight-preserving
     involution from the paths (0,2) -> (c,f) that touch the line onto all
     paths (4,-2) -> (c,f), for c + f <= limit."""
     nvars = max(1, (limit + 6) // 2 + 1)
-    # both sides start on the antidiagonal x + y = 2
+    # both sides start on the antidiagonal x + y = 2; walk, a general
+    # linear model, allows a right step at every level x + y - 2 below
+    # 2 * nvars, as model does (these paths reach limit - 3), so it yields
+    # every right/up path
     model = PathModel(CharacterFamily.SP, Layout.COLUMNWISE, nvars, 0, base=2)
+    walk = PathModel(CharacterFamily.GL, Layout.COLUMNWISE, 2 * nvars, 0, base=2)
     results = []
     for c in range(0, limit + 1):
         for f in range(-3, limit + 1):
             if c + f > limit or f <= c - 2:
                 continue
             touched = [
-                p for p in _monotone_paths((0, 2), (c, f))
+                p for p in enumerate_paths(walk, (0, 2), (c, f))
                 if any(y == x - 2 for x, y in p.points())
             ]
             images = [reflect_initial_segment(p, -2) for p in touched]
@@ -266,7 +257,7 @@ def _run_reflection(limit):
                     ok, detail = False, "weight changed"
                 if reflect_initial_segment(q, -2) != p:
                     ok, detail = False, "not an involution"
-            if set(images) != set(_monotone_paths((4, -2), (c, f))):
+            if set(images) != set(enumerate_paths(walk, (4, -2), (c, f))):
                 ok, detail = False, "image set mismatch"
             results.append(("reflection (0,2)->(%d,%d)" % (c, f), ok, detail))
     return results

@@ -336,18 +336,6 @@ class LaurentPoly:
             return LaurentPoly.zero(self.n_vars)
         return self._like({e: k * c for e, k in self._stored().items()})
 
-    def mul_monomial(self, exps, coeff=1):
-        if coeff == 0:
-            return LaurentPoly.zero(self.n_vars)
-        exps = tuple(exps)
-        return LaurentPoly(
-            self.n_vars,
-            {
-                tuple(x + y for x, y in zip(e, exps)): c * coeff
-                for e, c in self.terms.items()
-            },
-        )
-
     def eval_at(self, point):
         """Exact rational value at a point of nonzero rationals."""
         point = [Fraction(x) for x in point]

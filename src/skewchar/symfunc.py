@@ -7,6 +7,7 @@ determinant formulas.
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .core import LaurentPoly, Partition, PolyMatrix, _from_y, partitions_upto
@@ -23,21 +24,9 @@ class DegeneratePointError(ValueError):
     """The Weyl denominator determinant vanished; retry with another point."""
 
 
-def plain_letters(n):
-    letters = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        letters.append(tuple(e))
-    return letters
-
-
 # e/h tables kept at once.  A benchmark warm-up builds at most 84 of them
-# (n <= 3, r <= 12, both alphabets) and a cold complete_plain(1200, 1)
-# builds 1,201, so both fit; the plain h tables recurse on r - 1, and
-# _complete's steps keep that recursion within _H_STEP levels even after an
-# eviction.  The doubled alphabet's tables are read off in y, with no
-# recursion.
+# (n <= 3, r <= 12, both alphabets), so they fit.  Every table is read off
+# in closed form, with no recursion.
 EH_CACHE_SIZE = 2048
 
 
@@ -45,73 +34,61 @@ EH_CACHE_SIZE = 2048
 def _e_table(n, doubled):
     """e_0..e_N as a tuple, N = number of letters.
 
-    Over the doubled alphabet E(t) = prod_i (1 + y_i t + t^2) with
-    y_i = x_i + x_i^-1, so e_r is the sum over j of r's parity of
+    Over x1..xn, e_r = m_(1^r)(x) is the sum of the 0/1 exponent vectors
+    with r ones.  Over the doubled alphabet E(t) = prod_i (1 + y_i t + t^2)
+    with y_i = x_i + x_i^-1, so e_r is the sum over j of r's parity of
     C(n - j, (r - j) / 2) m_(1^j)(y): j factors give y_i t and (r - j) / 2
     of the others give t^2."""
-    if doubled:
-        table = []
-        for r in range(2 * n + 1):
-            y = {}
-            for j in range(r & 1, min(r, n) + 1, 2):
-                c = comb(n - j, (r - j) // 2)
-                if c:
-                    y[(1,) * j + (0,) * (n - j)] = c
-            table.append(_from_y(n, y))
-        return tuple(table)
-    letters = plain_letters(n)
-    table = [LaurentPoly.one(n)] + [LaurentPoly.zero(n)] * n
-    for ell in letters:
-        # process letters one at a time: e_k += e_{k-1} * letter
-        for k in range(n, 0, -1):
-            table[k] = table[k] + table[k - 1].mul_monomial(ell)
+    if not doubled:
+        return (LaurentPoly.one(n),) + tuple(
+            _plain(n, combinations(range(n), r)) for r in range(1, n + 1)
+        )
+    table = []
+    for r in range(2 * n + 1):
+        y = {}
+        for j in range(r & 1, min(r, n) + 1, 2):
+            c = comb(n - j, (r - j) // 2)
+            if c:
+                y[(1,) * j + (0,) * (n - j)] = c
+        table.append(_from_y(n, y))
     return tuple(table)
 
 
 @lru_cache(maxsize=EH_CACHE_SIZE)
 def _h_table(n, r, doubled):
-    """h_r of the alphabet, the last entry of a tuple.
+    """h_r of the alphabet, r >= 0.
 
-    For the plain alphabet the tuple holds h_r of each prefix x_1..x_j,
-    j = 0..n, and entry r is built from entry r - 1, so each (n, r) is
-    built once.  For the doubled alphabet it holds h_r alone, read off
+    Over x1..xn, h_r = sum over |lam| = r of m_lam(x) is the sum of the
+    exponent vectors of sum r, the weak compositions of r into n parts.
+    Over the doubled alphabet it is read off
     H(t) = 1 / E(-t) = prod_i sum_k U_k t^k, where
     U_k = sum_j (-1)^j C(k - j, j) y_i^(k-2j): the coefficient of
     m_lam(y) is (-1)^s C(s + |lam| + n - 1, s), s = (r - |lam|) / 2, the
     coefficient of t^s in (1 - t)^-(|lam| + n), over the partitions lam of
     at most n parts whose size is at most r and of r's parity."""
     if r == 0:
-        return (LaurentPoly.one(n),) * (1 if doubled else n + 1)
-    if doubled:
-        y = {}
-        for lam in partitions_upto(r, n):
-            size = lam.size()
-            if (r - size) & 1:
-                continue
-            s = (r - size) >> 1
-            c = comb(s + size + n - 1, s)
-            if c:
-                y[lam.parts + (0,) * (n - len(lam))] = -c if s & 1 else c
-        return (_from_y(n, y),)
-    prev = _h_table(n, r - 1, doubled)
-    table = [LaurentPoly.zero(n)]
-    for j, ell in enumerate(plain_letters(n), start=1):
-        # h_r(x_1..x_j) = h_r(x_1..x_{j-1}) + x_j * h_{r-1}(x_1..x_j)
-        table.append(table[-1] + prev[j].mul_monomial(ell))
-    return tuple(table)
-
-
-_H_STEP = 200
-
-
-def _complete(r, n, doubled):
-    if r < 0:
+        return LaurentPoly.one(n)
+    if not n:
         return LaurentPoly.zero(n)
     if not doubled:
-        # a cold start builds from below in steps, so recursion stays shallow
-        for k in range(_H_STEP, r, _H_STEP):
-            _h_table(n, k, False)
-    return _h_table(n, r, doubled)[-1]
+        return _plain(n, combinations_with_replacement(range(n), r))
+    y = {}
+    for lam in partitions_upto(r, n):
+        size = lam.size()
+        if (r - size) & 1:
+            continue
+        s = (r - size) >> 1
+        c = comb(s + size + n - 1, s)
+        if c:
+            y[lam.parts + (0,) * (n - len(lam))] = -c if s & 1 else c
+    return _from_y(n, y)
+
+
+def _plain(n, choices):
+    """The sum, each coefficient 1, of the monomials x_i1 * x_i2 * ... over
+    choices, tuples of variable indices 0..n-1; an exponent counts how often
+    its variable is chosen."""
+    return LaurentPoly(n, {tuple(map(c.count, range(n))): 1 for c in choices})
 
 
 def elementary_pm(r, n):
@@ -123,7 +100,9 @@ def elementary_pm(r, n):
 
 def complete_pm(r, n):
     """h_r of the doubled alphabet; 0 for r < 0, h_0 = 1."""
-    return _complete(r, n, True)
+    if r < 0:
+        return LaurentPoly.zero(n)
+    return _h_table(n, r, True)
 
 
 def elementary_plain(r, n):
@@ -134,7 +113,10 @@ def elementary_plain(r, n):
 
 
 def complete_plain(r, n):
-    return _complete(r, n, False)
+    """h_r of x1..xn; 0 for r < 0, h_0 = 1."""
+    if r < 0:
+        return LaurentPoly.zero(n)
+    return _h_table(n, r, False)
 
 
 def _rational_det(rows):

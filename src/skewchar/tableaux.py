@@ -132,8 +132,9 @@ def _max_cells():
 def domain_error(family, lam, mu, n, m):
     """The message of the first condition of every route's domain that the
     input fails, or None inside it: n, m >= 0, mu inside lambda, and rows
-    the tableau alphabet can fill, l(lambda) <= n for the general linear
-    family (which has no m), l(mu) <= m and l(lambda) <= n+m otherwise."""
+    the tableau alphabet can fill, m = 0 and l(lambda) <= n for the general
+    linear family (which has no m), l(mu) <= m and l(lambda) <= n+m
+    otherwise."""
     if n < 0:
         return "n >= 0 fails: %d < 0" % n
     if m < 0:
@@ -141,6 +142,8 @@ def domain_error(family, lam, mu, n, m):
     if not lam.contains(mu):
         return "mu <= lambda fails: %r not contained in %r" % (mu.parts, lam.parts)
     if family is CharacterFamily.GL:
+        if m:
+            return "m = 0 fails for the general linear family: %d != 0" % m
         if lam.length() > n:
             return "l(lambda) <= n fails: %d > %d" % (lam.length(), n)
         return None

@@ -109,6 +109,23 @@ def test_usage_errors_exit_2(capsys):
             assert want in captured.err
 
 
+def test_schur_takes_no_m(tmp_path, capsys):
+    # the general linear family has no m: a nonzero m is refused by every
+    # route, not ignored
+    shape = ["--family", "schur", "--shape", "2,1", "--n", "2"]
+    argvs = [["compute"] + shape + ["--m", "1", "--method", method] for method in sorted(cli.METHODS)]
+    argvs.append(["count"] + shape + ["--m", "1"])
+    argvs.append(["paths"] + shape + ["--m", "1", "--out", str(tmp_path / "fam")])
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m = 0 fails for the general linear family: 1 != 0" in captured.err
+    assert not list(tmp_path.iterdir())
+    assert main(["compute"] + shape + ["--m", "0"]) == 0
+    assert capsys.readouterr().out == "x1*x2^2 + x1^2*x2\n"
+
+
 def test_verify_rejects_negative_n_and_m(capsys):
     for suite in SUITES + ("all",):
         for flag, want in (

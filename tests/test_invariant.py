@@ -503,13 +503,13 @@ def letter_tables(n, rmax):
     e = [LaurentPoly.one(n)] + [zero] * len(letters)
     for ell in letters:
         for k in range(len(letters), 0, -1):
-            e[k] = e[k] + e[k - 1].mul_monomial(ell)
+            e[k] = e[k] + LaurentPoly.monomial(ell) * e[k - 1]
     prev = [LaurentPoly.one(n)] * (len(letters) + 1)
     h = [prev[-1]]
     for r in range(1, rmax + 1):
         table = [zero]
         for j, ell in enumerate(letters, start=1):
-            table.append(table[-1] + prev[j].mul_monomial(ell))
+            table.append(table[-1] + LaurentPoly.monomial(ell) * prev[j])
         prev = table
         h.append(table[-1])
     return e, h
@@ -531,9 +531,13 @@ def test_promise_is_made_only_where_proven():
         for r in range(0, 9):
             for poly in (elementary_pm(r, n), complete_pm(r, n)):
                 assert poly._invariant and is_invariant(poly)
-        # the plain alphabet is only S_n-invariant
-        assert not elementary_plain(1, n)._invariant
-        assert not complete_plain(2, n)._invariant
+    # the plain alphabet is only S_n-invariant: its constants (e_0, h_0, 0
+    # outside the range and every h_r of no variables) are promised, and
+    # every other value is not
+    for n in range(5):
+        for r in range(-2, 15):
+            assert elementary_plain(r, n)._invariant == (r <= 0 or r > n), ("e", n, r)
+            assert complete_plain(r, n)._invariant == (r <= 0 or n == 0), ("h", n, r)
     assert not LaurentPoly.monomial((1, 0))._invariant
     assert LaurentPoly.one(2)._invariant and LaurentPoly.zero(2)._invariant
     p = complete_pm(2, 2)
@@ -544,7 +548,7 @@ def test_promise_is_made_only_where_proven():
     for dropped in (-q, q + q, q - q, q.scaled(3), q * q):
         assert not dropped._invariant
     assert not (p * untagged(p))._invariant
-    assert not p.mul_monomial((1, 0))._invariant
+    assert not (LaurentPoly.monomial((1, 0)) * p)._invariant
 
 
 def test_every_promised_value_of_the_routes_is_invariant(monkeypatch):

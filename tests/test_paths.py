@@ -36,7 +36,7 @@ from skewchar import (
     tableau_to_paths,
     tableau_weight,
 )
-from skewchar.cli import _monotone_paths, _run_involution, _run_path_lemmas
+from skewchar.cli import _run_involution, _run_path_lemmas
 from skewchar.core import partitions_upto
 from skewchar.paths import (
     _path_cells,
@@ -393,14 +393,17 @@ def test_reflection_preconditions():
 
 def test_reflection_two_sided_sweep():
     model = PathModel(F.SP, Layout.COLUMNWISE, 6, 0, base=2)
+    # every right/up path: the general linear model weighs a right step at
+    # level x + y - 2, at most 7 here, with its own variable
+    walk = PathModel(F.GL, Layout.COLUMNWISE, 8, 0, base=2)
     for c, f in [(3, 5), (4, 2), (2, 4), (5, 3), (4, 4), (6, 4)]:
         touching = [
             p
-            for p in _monotone_paths((0, 2), (c, f))
+            for p in enumerate_paths(walk, (0, 2), (c, f))
             if any(y == x - 2 for x, y in p.points())
         ]
         images = [reflect_initial_segment(p, -2) for p in touching]
-        target = list(_monotone_paths((4, -2), (c, f)))
+        target = list(enumerate_paths(walk, (4, -2), (c, f)))
         assert sorted(map(repr, images)) == sorted(map(repr, target))
         for p, q in zip(touching, images):
             assert p.weight_exps(model) == q.weight_exps(model)

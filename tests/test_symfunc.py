@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from skewchar import (
     elementary_pm,
     weyl_eval,
 )
+from skewchar import symfunc
+from skewchar.symfunc import complete_plain, elementary_plain
 
 F = CharacterFamily
 
@@ -40,8 +43,27 @@ def test_complete_examples():
     assert complete_pm(2, 1) == LaurentPoly(1, {(2,): 1, (0,): 1, (-2,): 1})
     assert complete_pm(0, 4) == LaurentPoly.one(4)
     assert complete_pm(-3, 2).is_zero()
-    # h_r(x, 1/x) = x^r + x^(r-2) + ... + x^-r, built cold for r past the recursion limit
+    # h_r(x, 1/x) = x^r + x^(r-2) + ... + x^-r and h_r(x) = x^r, each
+    # built cold in one step at a large r
+    symfunc._h_table.cache_clear()
     assert complete_pm(1200, 1) == LaurentPoly(1, {(1200 - 2 * k,): 1 for k in range(1201)})
+    assert complete_plain(1200, 1) == LaurentPoly.monomial((1200,))
+
+
+def plain_by_brute_force(r, n, most):
+    """The sum of x^a over the exponent vectors a of n entries, each at most
+    most, that sum to r."""
+    return LaurentPoly(
+        n,
+        {a: 1 for a in itertools.product(range(r + 1), repeat=n) if sum(a) == r and max(a, default=0) <= most},
+    )
+
+
+def test_plain_tables_match_brute_force():
+    for n in range(5):
+        for r in range(-2, 11):
+            assert elementary_plain(r, n) == plain_by_brute_force(r, n, 1), ("e", n, r)
+            assert complete_plain(r, n) == plain_by_brute_force(r, n, r), ("h", n, r)
 
 
 def test_doubled_alphabet_duality():
@@ -58,14 +80,15 @@ def test_generators_bar_invariant():
 
 
 def test_convolution_identity():
-    for n in (1, 2, 3):
-        for r in range(0, 2 * n + 3):
-            acc = LaurentPoly.zero(n)
-            for k in range(0, r + 1):
-                term = elementary_pm(r - k, n) * complete_pm(k, n)
-                acc = acc + (term if k % 2 == 0 else -term)
-            want = LaurentPoly.one(n) if r == 0 else LaurentPoly.zero(n)
-            assert acc == want
+    for e, h in ((elementary_pm, complete_pm), (elementary_plain, complete_plain)):
+        for n in (0, 1, 2, 3):
+            for r in range(0, 9):
+                acc = LaurentPoly.zero(n)
+                for k in range(0, r + 1):
+                    term = e(r - k, n) * h(k, n)
+                    acc = acc + (term if k % 2 == 0 else -term)
+                want = LaurentPoly.one(n) if r == 0 else LaurentPoly.zero(n)
+                assert acc == want, (e.__name__, n, r)
 
 
 def test_weyl_examples():
