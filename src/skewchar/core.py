@@ -628,7 +628,8 @@ def _x_dominant(lam):
     under x_i -> x_i^-1, so the coefficient of x^nu is the sum over the
     distinct permutations p of lam of the products of C(p_i, (p_i - nu_i)/2)
     over i, each nu_i at most p_i and of p_i's parity.  nu is built one
-    entry at a time, each at most the one before."""
+    entry at a time, each at most the one before; along an entry the
+    binomial C(k, j), j = (k - v)/2, steps to C(k, j + 1) as v drops by 2."""
     n = len(lam)
     out = {}
 
@@ -638,9 +639,12 @@ def _x_dominant(lam):
             out[nu] = out.get(nu, 0) + coeff
             return
         k = p[i]
-        top = min(k, cap)
-        for v in range(top - ((k - top) & 1), -1, -2):
-            rec(p, nu + (v,), v, coeff * comb(k, (k - v) >> 1))
+        j = (k - min(k, cap) + 1) >> 1
+        c = comb(k, j)
+        for v in range(k - 2 * j, -1, -2):
+            rec(p, nu + (v,), v, coeff * c)
+            c = c * (k - j) // (j + 1)
+            j += 1
 
     for p in _sn_orbit(lam):
         rec(p, (), max(lam, default=0), 1)

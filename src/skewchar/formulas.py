@@ -87,8 +87,7 @@ def _det_bottom_up(rows, n):
     return PolyMatrix([row[::-1] for row in reversed(rows)], n).determinant()
 
 
-# Giambelli hook blocks kept at once, one per (family, a, b, n, m) by
-# either route (JT when b < a, dual-JT otherwise, see _dual_jt_cached);
+# Giambelli hook blocks kept at once, one per (family, a, b, n, m);
 # acceptance criterion 1 (the 4x4 box, n <= 3, m <= 2) uses 312 distinct
 # hooks, so the whole sweep fits
 BLOCK_CACHE_SIZE = 1024
@@ -96,42 +95,43 @@ BLOCK_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _dual_jt_cached(family, a, b, n, m):
-    """The Giambelli hook block (a|b), the character of (a+1, 1^b), by the
-    smaller of the paper's two determinants for it: JT of size b+1 when
-    b < a, dual-JT of size a+1 otherwise.  Timed over the 546 hooks of sp,
-    so and o with n <= 3, m <= 2, a <= 6, b <= 3 (best of 3 runs each, one
-    core of a 2-CPU x86 host), the sum is 1.36 s always by dual-JT, 0.130 s
-    always by JT, 0.112 s by this rule, 0.134 s by the older rule
-    b + 1 < a and 0.111 s by the best route for each hook.  JT, expanded
-    from its sparse bottom rows (_det_bottom_up), wins every hook with
-    b < a; dual-JT, expanded from its top row, wins every other one.
+    """The Giambelli hook block (a|b), the character of (a+1, 1^b), from
+    the entry rule, H and E unsigned as h_entry and e_entry give them.
 
-    The name is older than the JT route and stays: perfbench clears this
-    cache by name before every op and reads its cache_info, so under a new
-    name the blocks would stay warm from one op to the next.
+    JT of size b+1 for the hook, expanded along its first row H(s, -a), is
+    the sum over s = 1..b+1 of f(s) = (-1)^(s+1) H(s, -a) E(b+1, s): the
+    minor of its other rows without column s is E(b+1, s) (Jacobi's
+    complementary-minor theorem).  As E H = I, it is also minus the sum
+    over s = -a..0.  The shorter range is summed; no determinant is taken.
+
+    The name predates the closed form and stays: perfbench clears this
+    cache by name before every op and reads its cache_info, so under a
+    new name the blocks would stay warm from one op to the next.
     """
-    hook = Partition((a + 1,) + (1,) * b)
-    if b < a:
-        return jacobi_trudi(family, hook, Partition(), n, m, b + 1)
-    return dual_jacobi_trudi(family, hook, Partition(), n, m, a + 1)
+    gl = family is CharacterFamily.GL
+    e, h = (elementary_plain, complete_plain) if gl else (elementary_pm, complete_pm)
+    k, t = TWIST[family]
+    block = LaurentPoly.zero(n)
+    for s in range(1, b + 2) if b < a else range(-a, 1):
+        f = h_entry(s, -a, m, k, t, n, h) * e_entry(b + 1, s, m, k, t, n, e)
+        block = block + f if s & 1 else block - f
+    return block if b < a else -block
 
 
 def giambelli(family, lam, mu=Partition(), n=1, m=0):
     """(p+q) x (p+q) block determinant times (-1)^q, from the Frobenius
-    coordinates (a|b) of lambda and (g|d) of mu.  Its blocks are the hook
-    characters (a_i|b_j), each by JT of size b_j+1 when b_j < a_i and
-    by dual-JT of size a_i+1 otherwise (_dual_jt_cached), the single rows
-    (a_i)/(g_j), JT's 1 x 1 entry H(1 - g, 1 - a), the single columns
-    (1^{b_j+1})/(1^{d_i+1}), dual-JT's 1 x 1 entry E(b + 1, d + 1), and a
-    q x q zero block.  Both entries are 0 where the inner shape does not
-    fit.
+    coordinates (a|b) of lambda and (g|d) of mu, every block read off the
+    entry rule: the hook characters (a_i|b_j), sums of products of H and E
+    entries (_dual_jt_cached); the single rows (a_i)/(g_j), JT's 1 x 1
+    entry H(1 - g, 1 - a); the single columns (1^{b_j+1})/(1^{d_i+1}),
+    dual-JT's 1 x 1 entry E(b + 1, d + 1); and a q x q zero block.  Both
+    entries are 0 where the inner shape does not fit.
     """
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     fl, fm = lam.to_frobenius(), mu.to_frobenius()
     gl = family is CharacterFamily.GL
-    e = elementary_plain if gl else elementary_pm
-    h = complete_plain if gl else complete_pm
+    e, h = (elementary_plain, complete_plain) if gl else (elementary_pm, complete_pm)
     k, t = TWIST[family]
     rows = [
         [_dual_jt_cached(family, a, b, n, m) for b in fl.legs]

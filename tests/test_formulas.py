@@ -15,8 +15,15 @@ from skewchar import (
     giambelli,
     jacobi_trudi,
 )
-from skewchar.core import partitions_upto
+from skewchar.core import PolyMatrix, partitions_upto
 from skewchar.formulas import BLOCK_CACHE_SIZE, _dual_jt_cached
+from skewchar.symfunc import (
+    TWIST,
+    complete_plain,
+    e_entry,
+    elementary_plain,
+    h_entry,
+)
 
 F, M = CharacterFamily, Method
 
@@ -94,11 +101,12 @@ def count_muls(monkeypatch, route, *args):
     return got, len(calls)
 
 
-def test_wide_hook_block_takes_jt(monkeypatch):
-    # (7,1) is the single hook (6|1): JT of size 2, not dual-JT of size 7,
-    # which made 302 multiplies
+def test_wide_hook_block_sums_the_short_range(monkeypatch):
+    # (7,1) is the single hook (6|1): two products H(s, -6) E(2, s), s = 1, 2,
+    # and the 1 x 1 determinant's one; dual-JT of size 7 made 302 multiplies
+    # and JT of size 2 made 5
     got, muls = count_muls(monkeypatch, giambelli, F.SP, (7, 1), (), 3, 0)
-    assert muls <= 10, muls
+    assert muls == 3, muls
     assert got == jacobi_trudi(F.SP, (7, 1), (), 3, 0)
 
 
@@ -115,20 +123,58 @@ def test_jt_and_giambelli_expand_from_the_bottom_row(monkeypatch):
 
 
 def test_hook_routes_agree_across_the_rule():
-    # both of the paper's determinants for the hook (a|b) = (a+1, 1^b), on
-    # both sides of the rule b < a that picks between them, so the
-    # route Giambelli skips for a hook stays checked
-    for fam in (F.SP, F.SO_ODD, F.O_EVEN):
-        for n in (1, 2):
-            for m in range(3):
-                for b in range(min(4, n + m)):
-                    for a in range(7):
-                        hook = Partition((a + 1,) + (1,) * b)
-                        by_jt = jacobi_trudi(fam, hook, (), n, m, b + 1)
-                        by_dual = dual_jacobi_trudi(fam, hook, (), n, m, a + 1)
-                        assert by_jt == by_dual, (fam, n, m, a, b)
-                        want = character_by_tableaux(fam, SkewShape(hook, Partition()), n, m)
-                        assert by_jt == want, (fam, n, m, a, b)
+    # the hook block (a|b) = (a+1, 1^b), summed over s = 1..b+1 when b < a
+    # and over s = -a..0 otherwise, equals both of the paper's determinants
+    # for it and the tableau oracle, on both sides of that rule
+    _dual_jt_cached.cache_clear()
+    try:
+        for fam in (F.SP, F.SO_ODD, F.O_EVEN):
+            for n in (1, 2):
+                for m in range(3):
+                    for b in range(min(4, n + m)):
+                        for a in range(7):
+                            hook = Partition((a + 1,) + (1,) * b)
+                            by_jt = jacobi_trudi(fam, hook, (), n, m, b + 1)
+                            by_dual = dual_jacobi_trudi(fam, hook, (), n, m, a + 1)
+                            assert by_jt == by_dual, (fam, n, m, a, b)
+                            want = character_by_tableaux(fam, SkewShape(hook, Partition()), n, m)
+                            assert by_jt == want, (fam, n, m, a, b)
+                            assert _dual_jt_cached(fam, a, b, n, m) == want, (fam, n, m, a, b)
+    finally:
+        _dual_jt_cached.cache_clear()
+
+
+def test_hook_block_identity():
+    # the two steps behind the closed hook block, with H and E unsigned as
+    # h_entry and e_entry give them: in JT of size b+1 for (a+1, 1^b), the
+    # minor of the rows below the first without column s is E(b+1, s)
+    # (Jacobi's complementary-minor theorem), and row b+1 of E times
+    # column -a of E^-1 = H, sum over s = -a..b+1 of
+    # (-1)^s H(s, -a) E(b+1, s), is 0
+    for fam in F:
+        gl = fam is F.GL
+        e = elementary_plain if gl else elementary_pm
+        h = complete_plain if gl else complete_pm
+        k, t = TWIST[fam]
+        for n in range(3):
+            for m in (0,) if gl else range(3):
+                for b in range(4):
+                    for a in (b + 1, b + 2):
+                        case = (fam, n, m, a, b)
+                        lam = (a + 1,) + (1,) * b
+                        rows = [
+                            [h_entry(j, i - lam[i - 1], m, k, t, n, h) for j in range(1, b + 2)]
+                            for i in range(1, b + 2)
+                        ]
+                        for s in range(1, b + 2):
+                            minor = [row[: s - 1] + row[s:] for row in rows[1:]]
+                            got = PolyMatrix(minor, n).determinant()
+                            assert got == e_entry(b + 1, s, m, k, t, n, e), case + (s,)
+                        total = LaurentPoly.zero(n)
+                        for s in range(-a, b + 2):
+                            f = h_entry(s, -a, m, k, t, n, h) * e_entry(b + 1, s, m, k, t, n, e)
+                            total = total - f if s & 1 else total + f
+                        assert total.is_zero(), case
 
 
 def test_every_cache_is_bounded():
