@@ -2,9 +2,9 @@
 independent routes: tableau enumeration, nonintersecting lattice paths,
 dual Jacobi-Trudi, Jacobi-Trudi and Giambelli block determinants.
 
-Both Jacobi-Trudi determinants read one entry rule each from symfunc, with
-one (k, t) per family (sp (2, -1), so (1, 1), o (0, 1); the general linear
-family has t = 0 on the plain alphabet):
+The three determinant routes read their entries from one pair E, E^-1 = H,
+symfunc.EntryPair, with one (k, t) per family (sp (2, -1), so (1, 1),
+o (0, 1); the general linear family has t = 0 on the plain alphabet):
 dual-JT entry (i, j) is E(lambda'_i - i + 1, mu'_j - j + 1), and JT entry
 (i, j) is H(j - mu_j, i - lambda_i) without its sign.
 """
@@ -48,8 +48,6 @@ from .paths import (
 from .symfunc import (
     CharacterFamily,
     DegeneratePointError,
-    build_E_matrix,
-    build_H_matrix,
     complete_pm,
     elementary_pm,
     weyl_eval,
@@ -85,8 +83,6 @@ __all__ = [
     "SkewShape",
     "StepKind",
     "Tableau",
-    "build_E_matrix",
-    "build_H_matrix",
     "character",
     "character_by_tableaux",
     "complete_pm",

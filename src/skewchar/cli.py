@@ -35,8 +35,8 @@ from .render import ascii_render, svg_render
 from .symfunc import (
     CharacterFamily,
     DegeneratePointError,
-    build_E_matrix,
-    build_H_matrix,
+    EntryPair,
+    alphabet,
     complete_pm,
     elementary_pm,
     weyl_eval,
@@ -266,20 +266,21 @@ def _run_reflection(limit):
 def _run_eh():
     results = []
     for n in (1, 2):
+        one, zero = LaurentPoly.one(n), LaurentPoly.zero(n)
         for N in (1, 2, 3, 4, 5, 6):
             for m in (0, 1, 2, 3):
                 for k in (0, 1, 2):
                     for t in (-1, 0, 1, 2):
-                        E = build_E_matrix(N, m, k, t, n)
-                        H = build_H_matrix(N, m, k, t, n)
+                        pair = EntryPair(*alphabet(n), k, t, m)
                         ok = True
-                        for i in range(N):
-                            for j in range(N):
-                                prod = LaurentPoly.zero(n)
-                                for l in range(N):
-                                    prod = prod + E.rows[i][l] * H.rows[l][j]
-                                want = LaurentPoly.one(n) if i == j else LaurentPoly.zero(n)
-                                if prod != want:
+                        for i in range(1, N + 1):
+                            for j in range(1, N + 1):
+                                # row i of E times column j of H, H(l, j) signed
+                                prod = zero
+                                for l in range(1, N + 1):
+                                    f = pair.E(i, l) * pair.H(l, j)
+                                    prod = prod - f if (l - j) & 1 else prod + f
+                                if prod != (one if i == j else zero):
                                     ok = False
                         results.append(
                             (

@@ -7,19 +7,10 @@ lattice-path sum.
 from enum import Enum
 from functools import lru_cache
 
-from .core import LaurentPoly, Partition, PolyMatrix, SkewShape
+from .core import Partition, PolyMatrix, SkewShape
 from . import paths as pth
 from . import tableaux as tb
-from .symfunc import (
-    TWIST,
-    CharacterFamily,
-    complete_plain,
-    complete_pm,
-    e_entry,
-    elementary_plain,
-    elementary_pm,
-    h_entry,
-)
+from .symfunc import family_pair
 
 
 class Method(Enum):
@@ -34,43 +25,84 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
-# Both routes are minors of symfunc's pair E, E^-1 = H, with the family's
-# (k, t) from symfunc.TWIST; JT's matrix is the complementary minor of
-# dual-JT's (Jacobi's theorem).  For o at m = l(mu) the E bound leaves
-# dual-JT's first column untwisted, so neither route divides.
+# Each determinant route is an index rule over an entry pair (symfunc's E
+# and unsigned H) that returns its rows; the routes agree by Jacobi's
+# complementary-minor theorem for any lower-unitriangular pair.  For o at
+# m = l(mu) the E bound leaves dual-JT's first column untwisted.
+
+
+def dual_jt_rows(pair, lam, mu, N):
+    """Dual-JT's N x N matrix: entry (i, j) is E(lambda'_i - i + 1, mu'_j - j + 1)."""
+    lc, mc = lam.conjugate(), mu.conjugate()
+    return [
+        [pair.E(lc.part(i) - i + 1, mc.part(j) - j + 1) for j in range(1, N + 1)]
+        for i in range(1, N + 1)
+    ]
+
+
+def jt_rows(pair, lam, mu, N):
+    """JT's N x N matrix: entry (i, j) is the unsigned H(j - mu_j, i - lambda_i)."""
+    return [
+        [pair.H(j - mu.part(j), i - lam.part(i)) for j in range(1, N + 1)]
+        for i in range(1, N + 1)
+    ]
+
+
+def hook_block(pair, a, b):
+    """The Giambelli hook block (a|b), the character of (a+1, 1^b).
+
+    JT of size b+1 for the hook, expanded along its first row H(s, -a), is
+    the sum over s = 1..b+1 of f(s) = (-1)^(s+1) H(s, -a) E(b+1, s): the
+    minor of its other rows without column s is E(b+1, s) (Jacobi's
+    complementary-minor theorem).  As E H = I, it is also minus the sum
+    over s = -a..0.  The shorter range is summed, and a zero E entry adds
+    no product; no determinant is taken.
+    """
+    block = pair.zero
+    for s in range(1, b + 2) if b < a else range(-a, 1):
+        e = pair.E(b + 1, s)
+        if e == pair.zero:
+            continue
+        f = pair.H(s, -a) * e
+        block = block + f if s & 1 else block - f
+    return block if b < a else -block
+
+
+def giambelli_rows(pair, lam, mu, block):
+    """Giambelli's (p+q) x (p+q) matrix from the Frobenius coordinates
+    (a|b) of lambda and (g|d) of mu; its determinant times (-1)^q,
+    q = mu.durfee(), is the character.  Its blocks: the hooks (a_i|b_j),
+    block(a, b); the single rows (a_i)/(g_j), JT's 1 x 1 entry H(-g, -a)
+    (H(1 - g, 1 - a) reads the same on the domain, but is no minor of a
+    generic pair); the single columns (1^{b_j+1})/(1^{d_i+1}), dual-JT's
+    E(b + 1, d + 1); and a q x q zero block.
+    """
+    fl, fm = lam.to_frobenius(), mu.to_frobenius()
+    rows = [
+        [block(a, b) for b in fl.legs] + [pair.H(-g, -a) for g in fm.arms]
+        for a in fl.arms
+    ]
+    rows += [
+        [pair.E(b + 1, d + 1) for b in fl.legs] + [pair.zero] * len(fm.arms)
+        for d in fm.legs
+    ]
+    return rows
 
 
 def dual_jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
-    """N x N determinant of the entries E(lambda'_i - i + 1, mu'_j - j + 1)
-    in elementary symmetric polynomials of the doubled alphabet (plain
-    alphabet for the general linear family)."""
+    """N x N determinant of dual_jt_rows over the family's pair."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     N = tb.matrix_size(N, lam.first(), "lambda_1")
-    lc, mc = lam.conjugate(), mu.conjugate()
-    e = elementary_plain if family is CharacterFamily.GL else elementary_pm
-    k, t = TWIST[family]
-    rows = [
-        [e_entry(lc.part(i) - i + 1, mc.part(j) - j + 1, m, k, t, n, e) for j in range(1, N + 1)]
-        for i in range(1, N + 1)
-    ]
-    return PolyMatrix(rows, n).determinant()
+    return PolyMatrix(dual_jt_rows(family_pair(family, n, m), lam, mu, N), n).determinant()
 
 
 def jacobi_trudi(family, lam, mu=Partition(), n=1, m=0, N=None):
-    """N x N determinant of the unsigned entries H(j - mu_j, i - lambda_i) in
-    complete homogeneous symmetric polynomials of the doubled alphabet (plain
-    alphabet for the general linear family)."""
+    """N x N determinant of jt_rows over the family's pair."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     N = tb.matrix_size(N, lam.length(), "l(lambda)")
-    h = complete_plain if family is CharacterFamily.GL else complete_pm
-    k, t = TWIST[family]
-    rows = [
-        [h_entry(j - mu.part(j), i - lam.part(i), m, k, t, n, h) for j in range(1, N + 1)]
-        for i in range(1, N + 1)
-    ]
-    return _det_bottom_up(rows, n)
+    return _det_bottom_up(jt_rows(family_pair(family, n, m), lam, mu, N), n)
 
 
 def _det_bottom_up(rows, n):
@@ -95,56 +127,20 @@ BLOCK_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def _dual_jt_cached(family, a, b, n, m):
-    """The Giambelli hook block (a|b), the character of (a+1, 1^b), from
-    the entry rule, H and E unsigned as h_entry and e_entry give them.
-
-    JT of size b+1 for the hook, expanded along its first row H(s, -a), is
-    the sum over s = 1..b+1 of f(s) = (-1)^(s+1) H(s, -a) E(b+1, s): the
-    minor of its other rows without column s is E(b+1, s) (Jacobi's
-    complementary-minor theorem).  As E H = I, it is also minus the sum
-    over s = -a..0.  The shorter range is summed; no determinant is taken.
-
-    The name predates the closed form and stays: perfbench clears this
-    cache by name before every op and reads its cache_info, so under a
-    new name the blocks would stay warm from one op to the next.
-    """
-    gl = family is CharacterFamily.GL
-    e, h = (elementary_plain, complete_plain) if gl else (elementary_pm, complete_pm)
-    k, t = TWIST[family]
-    block = LaurentPoly.zero(n)
-    for s in range(1, b + 2) if b < a else range(-a, 1):
-        f = h_entry(s, -a, m, k, t, n, h) * e_entry(b + 1, s, m, k, t, n, e)
-        block = block + f if s & 1 else block - f
-    return block if b < a else -block
+    """hook_block (a|b) over the family's pair.  The name predates the
+    closed form and stays: perfbench clears this cache by name before every
+    op, so under a new name the blocks would stay warm between ops."""
+    return hook_block(family_pair(family, n, m), a, b)
 
 
 def giambelli(family, lam, mu=Partition(), n=1, m=0):
-    """(p+q) x (p+q) block determinant times (-1)^q, from the Frobenius
-    coordinates (a|b) of lambda and (g|d) of mu, every block read off the
-    entry rule: the hook characters (a_i|b_j), sums of products of H and E
-    entries (_dual_jt_cached); the single rows (a_i)/(g_j), JT's 1 x 1
-    entry H(1 - g, 1 - a); the single columns (1^{b_j+1})/(1^{d_i+1}),
-    dual-JT's 1 x 1 entry E(b + 1, d + 1); and a q x q zero block.  Both
-    entries are 0 where the inner shape does not fit.
-    """
+    """Giambelli's determinant, its hook blocks cached (_dual_jt_cached)."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
-    fl, fm = lam.to_frobenius(), mu.to_frobenius()
-    gl = family is CharacterFamily.GL
-    e, h = (elementary_plain, complete_plain) if gl else (elementary_pm, complete_pm)
-    k, t = TWIST[family]
-    rows = [
-        [_dual_jt_cached(family, a, b, n, m) for b in fl.legs]
-        + [h_entry(1 - g, 1 - a, m, k, t, n, h) for g in fm.arms]
-        for a in fl.arms
-    ]
-    rows += [
-        [e_entry(b + 1, d + 1, m, k, t, n, e) for b in fl.legs]
-        + [LaurentPoly.zero(n)] * len(fm.arms)
-        for d in fm.legs
-    ]
-    det = _det_bottom_up(rows, n)
-    return det.scaled(-1 if len(fm.arms) % 2 else 1)
+    rows = giambelli_rows(
+        family_pair(family, n, m), lam, mu, lambda a, b: _dual_jt_cached(family, a, b, n, m)
+    )
+    return _det_bottom_up(rows, n).scaled(-1 if mu.durfee() % 2 else 1)
 
 
 def lgv_character(family, lam, mu=Partition(), n=1, m=0, N=None):

@@ -1,7 +1,7 @@
 """Symmetric polynomials on the doubled alphabet x1, x1^-1, ..., xn, xn^-1,
 Weyl-ratio evaluation oracles for the non-skew characters, and the
-lower-unitriangular inverse pair of e/h matrices used to dualize the
-determinant formulas.
+lower-unitriangular inverse pair of e/h entries that every determinant
+formula reads.
 """
 
 from enum import Enum
@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .core import LaurentPoly, Partition, PolyMatrix, _from_y, partitions_upto
+from .core import LaurentPoly, Partition, _from_y, partitions_upto
 
 
 class CharacterFamily(Enum):
@@ -120,8 +120,9 @@ def complete_plain(r, n):
 
 
 def _rational_det(rows):
-    """Exact determinant of a square matrix of Fractions by elimination."""
-    m = [list(r) for r in rows]
+    """Exact determinant of a square matrix of ints or Fractions by
+    elimination, in Fractions throughout."""
+    m = [[Fraction(x) for x in r] for r in rows]
     n = len(m)
     det = Fraction(1)
     for c in range(n):
@@ -209,12 +210,8 @@ def weyl_eval(family, lam, point):
     return factor * _rational_det(num) / d
 
 
-# The paper's dual and ordinary Jacobi-Trudi determinants are complementary
-# minors of one lower-unitriangular pair E, E^-1 = H (Jacobi's theorem,
-# Macdonald I.2), fixed per family by (k, t):
-#   E(a, b) = e_{a-b} + [b < m + ceil(k/2)] t e_{a+b-2m-k}
-#   H(r, c) = (-1)^{r-c} (h_{r-c} - [r > m + floor(k/2)] (-1)^k t h_{2m-r-c+k})
-# The general linear family has t = 0 and reads the plain alphabet.
+# The (k, t) of each family's entry pair, read by family_pair alone; the
+# general linear family has t = 0 and reads the plain alphabet.
 TWIST = {
     CharacterFamily.GL: (0, 0),
     CharacterFamily.SP: (2, -1),
@@ -223,39 +220,48 @@ TWIST = {
 }
 
 
-def e_entry(a, b, m, k, t, n, e=elementary_pm):
-    """E(a, b): e_{a-b} plus the twist t e_{a+b-2m-k} in the columns
-    b < m + ceil(k/2); e is the alphabet's e_r."""
-    entry = e(a - b, n)
-    if t and b < m + -(-k // 2):
-        entry = entry + e(a + b - 2 * m - k, n).scaled(t)
-    return entry
+def alphabet(n, doubled=True):
+    """e(r) and h(r) of x1, x1^-1, ..., xn, xn^-1, or of x1..xn when not
+    doubled.  Each looks its table function up by name on every call, so a
+    wrapper set on this module (perfbench's tracer) sees every call."""
+    if doubled:
+        return (lambda r: elementary_pm(r, n)), (lambda r: complete_pm(r, n))
+    return (lambda r: elementary_plain(r, n)), (lambda r: complete_plain(r, n))
 
 
-def h_entry(r, c, m, k, t, n, h=complete_pm):
-    """H(r, c) without its sign (-1)^{r-c}: h_{r-c} minus the twist
-    (-1)^k t h_{2m-r-c+k} in the rows r > m + floor(k/2); h is the
-    alphabet's h_r."""
-    entry = h(r - c, n)
-    if t and r > m + k // 2:
-        entry = entry + h(2 * m - r - c + k, n).scaled(t if k & 1 else -t)
-    return entry
+class EntryPair:
+    """The lower-unitriangular pair E, E^-1 = H whose complementary
+    minors are the dual and ordinary Jacobi-Trudi determinants (Jacobi's
+    theorem, Macdonald I.2), over an alphabet given by its e(r) and h(r),
+    with the twist (k, t) and the bound m:
+
+      E(a, b) = e_{a-b} + [b < m + ceil(k/2)] t e_{a+b-2m-k}
+      H(r, c) = (-1)^{r-c} (h_{r-c} - [r > m + floor(k/2)] (-1)^k t h_{2m-r-c+k})
+
+    H gives H(r, c) without its sign.  The determinant builders of formulas
+    read only E, H and zero, so any object with those three serves them.
+    """
+
+    __slots__ = ("e", "h", "k", "t", "m", "zero")
+
+    def __init__(self, e, h, k, t, m):
+        self.e, self.h, self.k, self.t, self.m = e, h, k, t, m
+        self.zero = h(-1)  # h_r is 0 for r < 0
+
+    def E(self, a, b):
+        entry = self.e(a - b)
+        if self.t and b < self.m + -(-self.k // 2):
+            entry = entry + self.e(a + b - 2 * self.m - self.k).scaled(self.t)
+        return entry
+
+    def H(self, r, c):
+        k, t = self.k, self.t
+        entry = self.h(r - c)
+        if t and r > self.m + k // 2:
+            entry = entry + self.h(2 * self.m - r - c + k).scaled(t if k & 1 else -t)
+        return entry
 
 
-def build_E_matrix(N, m, k, t, n):
-    """N x N lower-unitriangular matrix E(i, j), i, j = 1..N, over the doubled
-    alphabet."""
-    rows = [[e_entry(i, j, m, k, t, n) for j in range(1, N + 1)] for i in range(1, N + 1)]
-    return PolyMatrix(rows, n)
-
-
-def build_H_matrix(N, m, k, t, n):
-    """N x N lower-unitriangular inverse H(i, j) of build_E_matrix."""
-    rows = []
-    for i in range(1, N + 1):
-        row = []
-        for j in range(1, N + 1):
-            entry = h_entry(i, j, m, k, t, n)
-            row.append(-entry if (i - j) & 1 else entry)
-        rows.append(row)
-    return PolyMatrix(rows, n)
+def family_pair(family, n, m):
+    """The entry pair of a character family in n variables."""
+    return EntryPair(*alphabet(n, family is not CharacterFamily.GL), *TWIST[family], m)

@@ -18,8 +18,8 @@ from skewchar import (
 )
 from skewchar import core
 from skewchar.core import partitions_upto
-from skewchar.formulas import _det_bottom_up, jacobi_trudi
-from skewchar.symfunc import TWIST, e_entry, elementary_pm
+from skewchar.formulas import _det_bottom_up, dual_jt_rows, jacobi_trudi
+from skewchar.symfunc import family_pair
 from conftest import random_poly
 
 
@@ -350,12 +350,8 @@ def test_banded_determinant_keeps_only_nonzero_minors():
     # the dual-JT matrix of sp (18,) with n = 3 is 18 x 18 with at most 7
     # nonzero entries a row; expanded bottom-up it keeps 171 nonzero
     # minors over all levels, where listing every column subset built 2^18
-    lc, n = Partition((18,)).conjugate(), 3
-    k, t = TWIST[CharacterFamily.SP]
-    rows = [
-        [e_entry(lc.part(i) - i + 1, 1 - j, 0, k, t, n, elementary_pm) for j in range(1, 19)]
-        for i in range(1, 19)
-    ]
+    n = 3
+    rows = dual_jt_rows(family_pair(CharacterFamily.SP, n, 0), Partition((18,)), Partition(), 18)
     want = jacobi_trudi(CharacterFamily.SP, (18,), n=n)
     tracemalloc.start()
     try:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from skewchar import (
@@ -16,14 +18,15 @@ from skewchar import (
     jacobi_trudi,
 )
 from skewchar.core import PolyMatrix, partitions_upto
-from skewchar.formulas import BLOCK_CACHE_SIZE, _dual_jt_cached
-from skewchar.symfunc import (
-    TWIST,
-    complete_plain,
-    e_entry,
-    elementary_plain,
-    h_entry,
+from skewchar.formulas import (
+    BLOCK_CACHE_SIZE,
+    _dual_jt_cached,
+    dual_jt_rows,
+    giambelli_rows,
+    hook_block,
+    jt_rows,
 )
+from skewchar.symfunc import _rational_det, family_pair
 
 F, M = CharacterFamily, Method
 
@@ -112,12 +115,13 @@ def test_wide_hook_block_sums_the_short_range(monkeypatch):
 
 def test_jt_and_giambelli_expand_from_the_bottom_row(monkeypatch):
     # from the top row down, JT made 30 multiplies here and Giambelli,
-    # with hooks by JT only when b + 1 < a, made 53
+    # with hooks by JT only when b + 1 < a, made 53; with the hook sums
+    # Giambelli makes 14, where a zero E entry in a hook sum adds no product
     case = (F.SP, (4, 4, 2, 1), (), 3, 1)
     by_jt, muls = count_muls(monkeypatch, jacobi_trudi, *case)
     assert muls < 30, muls
     by_giambelli, muls = count_muls(monkeypatch, giambelli, *case)
-    assert muls < 53, muls
+    assert muls == 14, muls
     want = character_by_tableaux(F.SP, SkewShape(Partition((4, 4, 2, 1)), Partition()), 3, 1)
     assert by_jt == by_giambelli == want
 
@@ -145,36 +149,80 @@ def test_hook_routes_agree_across_the_rule():
 
 
 def test_hook_block_identity():
-    # the two steps behind the closed hook block, with H and E unsigned as
-    # h_entry and e_entry give them: in JT of size b+1 for (a+1, 1^b), the
-    # minor of the rows below the first without column s is E(b+1, s)
-    # (Jacobi's complementary-minor theorem), and row b+1 of E times
-    # column -a of E^-1 = H, sum over s = -a..b+1 of
+    # the two steps behind the closed hook block, with H unsigned: in JT
+    # of size b+1 for (a+1, 1^b), the minor of the rows below the first
+    # without column s is E(b+1, s) (Jacobi's complementary-minor theorem),
+    # and row b+1 of E times column -a of E^-1 = H, sum over s = -a..b+1 of
     # (-1)^s H(s, -a) E(b+1, s), is 0
     for fam in F:
-        gl = fam is F.GL
-        e = elementary_plain if gl else elementary_pm
-        h = complete_plain if gl else complete_pm
-        k, t = TWIST[fam]
         for n in range(3):
-            for m in (0,) if gl else range(3):
+            for m in (0,) if fam is F.GL else range(3):
+                pair = family_pair(fam, n, m)
                 for b in range(4):
                     for a in (b + 1, b + 2):
                         case = (fam, n, m, a, b)
-                        lam = (a + 1,) + (1,) * b
-                        rows = [
-                            [h_entry(j, i - lam[i - 1], m, k, t, n, h) for j in range(1, b + 2)]
-                            for i in range(1, b + 2)
-                        ]
+                        rows = jt_rows(pair, Partition((a + 1,) + (1,) * b), Partition(), b + 1)
                         for s in range(1, b + 2):
                             minor = [row[: s - 1] + row[s:] for row in rows[1:]]
                             got = PolyMatrix(minor, n).determinant()
-                            assert got == e_entry(b + 1, s, m, k, t, n, e), case + (s,)
-                        total = LaurentPoly.zero(n)
+                            assert got == pair.E(b + 1, s), case + (s,)
+                        total = pair.zero
                         for s in range(-a, b + 2):
-                            f = h_entry(s, -a, m, k, t, n, h) * e_entry(b + 1, s, m, k, t, n, e)
+                            f = pair.H(s, -a) * pair.E(b + 1, s)
                             total = total - f if s & 1 else total + f
                         assert total.is_zero(), case
+
+
+class GenericPair:
+    """An entry pair off a random integer lower-unitriangular G on the
+    indices lo..hi: H(r, c) is G(r, c), and E is the inverse of
+    (-1)^(r-c) G by forward substitution, an integer matrix too.  An entry
+    above the diagonal is 0; one below it outside the window raises
+    KeyError."""
+
+    zero = 0
+
+    def __init__(self, rng, lo, hi):
+        self.G, self.inv = {}, {}
+        for r in range(lo, hi + 1):
+            for c in range(lo, r):
+                self.G[r, c] = rng.randint(-5, 5)
+            self.G[r, r] = 1
+        for c in range(lo, hi + 1):
+            self.inv[c, c] = 1
+            for r in range(c + 1, hi + 1):
+                self.inv[r, c] = -sum(
+                    (-1) ** (r - l) * self.G[r, l] * self.inv[l, c] for l in range(c, r)
+                )
+
+    def E(self, a, b):
+        return self.inv[a, b] if a >= b else 0
+
+    def H(self, r, c):
+        return self.G[r, c] if r >= c else 0
+
+
+def random_skew(rng, width, height):
+    """A random lambda of at most height parts with lambda_1 <= width, and
+    a random mu inside it: each mu_i drawn in 0..lambda_i, then sorted."""
+    first = rng.randint(1, width)
+    lam = [first] + sorted((rng.randint(1, first) for _ in range(rng.randrange(height))), reverse=True)
+    mu = sorted((rng.randint(0, p) for p in lam), reverse=True) if rng.randrange(4) else []
+    return Partition(lam), Partition([p for p in mu if p])
+
+
+def test_routes_agree_on_a_generic_pair(rng):
+    # JT = dual-JT = Giambelli is a minor identity of any lower-unitriangular
+    # pair (Jacobi's theorem), so the builders' index rules are checked on
+    # random integers, at sizes no polynomial check reaches
+    pair = GenericPair(rng, -30, 9)
+    hook = partial(hook_block, pair)
+    for _ in range(500):
+        lam, mu = random_skew(rng, 30, 8)
+        by_jt = _rational_det(jt_rows(pair, lam, mu, lam.length()))
+        by_dual = _rational_det(dual_jt_rows(pair, lam, mu, lam.first()))
+        by_giambelli = _rational_det(giambelli_rows(pair, lam, mu, hook)) * (-1) ** mu.durfee()
+        assert by_jt == by_dual == by_giambelli, (lam, mu)
 
 
 def test_every_cache_is_bounded():

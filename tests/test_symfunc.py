@@ -8,16 +8,15 @@ from skewchar import (
     DegeneratePointError,
     LaurentPoly,
     Partition,
+    PolyMatrix,
     SkewShape,
-    build_E_matrix,
-    build_H_matrix,
     character_by_tableaux,
     complete_pm,
     elementary_pm,
     weyl_eval,
 )
 from skewchar import symfunc
-from skewchar.symfunc import complete_plain, elementary_plain
+from skewchar.symfunc import EntryPair, _rational_det, alphabet, complete_plain, elementary_plain
 
 F = CharacterFamily
 
@@ -137,8 +136,6 @@ def _is_identity(mat):
 
 def _matmul(a, b):
     zero = LaurentPoly.zero(a.n_vars)
-    from skewchar import PolyMatrix
-
     rows = []
     for i in range(a.dim):
         row = []
@@ -151,22 +148,28 @@ def _matmul(a, b):
     return PolyMatrix(rows, a.n_vars)
 
 
+def pair_matrices(N, m, k, t, n):
+    """E and the signed H of the doubled alphabet's pair on i, j = 1..N."""
+    pair = EntryPair(*alphabet(n), k, t, m)
+    idx = range(1, N + 1)
+    E = PolyMatrix([[pair.E(i, j) for j in idx] for i in idx], n)
+    H = PolyMatrix([[-pair.H(i, j) if (i - j) & 1 else pair.H(i, j) for j in idx] for i in idx], n)
+    return E, H
+
+
 def test_e_matrix_examples():
     for m, k, t in [(0, 0, 1), (2, 1, -1), (1, 2, 2)]:
-        assert _is_identity(build_E_matrix(1, m, k, t, 2))
-        assert _is_identity(build_H_matrix(1, m, k, t, 2))
+        assert all(map(_is_identity, pair_matrices(1, m, k, t, 2)))
     # bracket [j < m + ceil(k/2)] evaluated literally: false for N=2,m=0,k=2
-    E = build_E_matrix(2, 0, 2, -1, 1)
+    E, _ = pair_matrices(2, 0, 2, -1, 1)
     assert E.rows[1][0] == elementary_pm(1, 1)
     # t=0 gives the plain Toeplitz pair, mutually inverse
-    E0 = build_E_matrix(4, 1, 1, 0, 2)
-    H0 = build_H_matrix(4, 1, 1, 0, 2)
-    assert _is_identity(_matmul(E0, H0))
+    assert _is_identity(_matmul(*pair_matrices(4, 1, 1, 0, 2)))
 
 
 def test_e_h_lower_unitriangular():
     for N, m, k, t, n in [(4, 1, 2, -1, 2), (5, 2, 1, 1, 1), (3, 0, 0, 2, 2)]:
-        for mat in (build_E_matrix(N, m, k, t, n), build_H_matrix(N, m, k, t, n)):
+        for mat in pair_matrices(N, m, k, t, n):
             for i in range(1, N + 1):
                 assert mat.rows[i - 1][i - 1] == LaurentPoly.one(n)
                 for j in range(i + 1, N + 1):
@@ -179,6 +182,12 @@ def test_e_h_inverse_pair_sweep():
             for k in (0, 1, 2):
                 for t in (-1, 0, 1, 2):
                     for n in (1, 2):
-                        E = build_E_matrix(N, m, k, t, n)
-                        H = build_H_matrix(N, m, k, t, n)
-                        assert _is_identity(_matmul(E, H)), (N, m, k, t, n)
+                        assert _is_identity(_matmul(*pair_matrices(N, m, k, t, n))), (N, m, k, t, n)
+
+
+def test_rational_det_is_exact_on_ints():
+    # entries are made Fractions once: 1 / 2 would otherwise be a float
+    assert _rational_det([[2, 1], [1, 1]]) == 1
+    assert type(_rational_det([[2, 1], [1, 1]])) is Fraction
+    big = [[3**40 + 1, 3**39], [3**39, 3**38 + 7]]
+    assert _rational_det(big) == 86454509931071493703
