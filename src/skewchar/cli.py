@@ -149,8 +149,9 @@ def _run_four_way(case):
 
 
 def _lgv_cases(max_cells, n_range, m_range):
-    """The four-way cases with at most 7 cells and n <= 2, where the
-    brute-force signed path sum stays cheap."""
+    """The four-way cases with at most 7 cells and n <= 2.  Both sums are
+    cheap there; beyond it the tableau oracle, which visits every filling,
+    grows faster than the signed path sum, a transfer over the starts."""
     return domain_cases(min(max_cells, 7), (n_range[0], min(n_range[1], 2)), m_range)
 
 

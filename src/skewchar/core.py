@@ -485,10 +485,14 @@ def _key_width(bound):
 def _unpack(keys, n, w):
     """{exponent tuple: c} from {packed key at digit width w: c}, zero
     coefficients dropped: adding 2^(w-1) to every digit puts it in
-    [0, 2^w), where a mask reads it off."""
-    half, mask, shifts = 1 << (w - 1), (1 << w) - 1, range(0, n * w, w)
-    bias = half * sum(_weights(n, w))
-    return {tuple((((k + bias) >> s) & mask) - half for s in shifts): c for k, c in keys.items() if c}
+    [0, 2^w), where a mask reads it off.  The bias is 2^(w-1) times the sum
+    of the weights, (2^(n*w) - 1) / (2^w - 1).  Digits are read one
+    variable at a time over every key, not by a generator per key."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = half * ((1 << n * w) - 1) // mask
+    kept = [k + bias for k, c in keys.items() if c]
+    digits = [[(k >> s & mask) - half for k in kept] for s in range(0, n * w, w)]
+    return dict(zip(zip(*digits) if n else [()] * len(kept), [c for c in keys.values() if c]))
 
 
 def _term_pair_mul(n, a, b):

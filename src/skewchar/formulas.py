@@ -1,6 +1,6 @@
 """The determinantal character formulas and a dispatcher that computes any
 skew character by tableau enumeration, dual or ordinary Jacobi-Trudi
-determinants, the Giambelli block determinant, or the brute-force signed
+determinants, the Giambelli block determinant, or the direct signed
 lattice-path sum.
 """
 
@@ -144,7 +144,8 @@ def giambelli(family, lam, mu=Partition(), n=1, m=0):
 
 
 def lgv_character(family, lam, mu=Partition(), n=1, m=0, N=None):
-    """Brute-force signed lattice-path sum over the columnwise configuration."""
+    """Signed sum over the columnwise configuration's non-intersecting
+    lattice-path families, with no determinant."""
     lam, mu = _as_partition(lam), _as_partition(mu)
     tb.check_preconditions(family, lam, mu, n, m)
     shape = SkewShape(lam, mu)

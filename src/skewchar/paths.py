@@ -9,8 +9,10 @@ starting at (x, y) has level x+y-base, except in the hookwise region x < 0
 where the level is y-base: there one horizontal step per entry height.
 """
 
+from collections import defaultdict
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .core import FrobeniusCoordinates, LaurentPoly, Partition, SkewShape
 from .core import _key_width, _unpack, _weights
@@ -637,8 +639,11 @@ class _SuffixTable(dict):
             for kind, nx, ny, exp in _steps_from(model.key, x, y):
                 if nx > tx or (ny > ty and kind in UP_KINDS):
                     continue
-                step = 0 if exp is None else exp[1] * weights[exp[0]]
-                got += [(here | t[0], t[1] + step, kind, t) for t in self[nx, ny]]
+                tails = self[nx, ny]
+                if tails:
+                    step = 0 if exp is None else exp[1] * weights[exp[0]]
+                    for t in tails:  # mostly one: a loop, not a comprehension call
+                        got.append((here | t[0], t[1] + step, kind, t))
         self[point] = got
         return got
 
@@ -665,56 +670,64 @@ def enumerate_paths(model, frm, to, blocked=frozenset()):
             yield Path(frm, _steps(rec))
 
 
+def _lgv_tables(model, starts, ends):
+    """tables[i][j]: the records of the paths from starts[i] to ends[j],
+    read off one _SuffixTable per end, all numbering the points with one bit
+    index.  No step decreases x, and in the columnwise layout none decreases
+    y, so a pair whose end lies left of (or, columnwise, below) its start
+    has no path and is not walked."""
+    index = {}
+    weights = _weights(model.n, _advance_width(starts, ends))
+    suffixes = [_SuffixTable(model, to, index, weights) for to in ends]
+    rises = model.layout is Layout.COLUMNWISE
+    return [
+        [
+            suffix[x, y] if x <= suffix.to[0] and (y <= suffix.to[1] or not rises) else ()
+            for suffix in suffixes
+        ]
+        for x, y in starts
+    ]
+
+
 def _lgv_walk(model, starts, ends):
     """Every weakly non-intersecting family of N >= 1 paths, in
     enumerate_lgv_families's order, grouped by its first N-1 paths: see
     _grow.  The lists it yields are reused: read them before the next
     group."""
-    N = len(starts)
-    index = {}
-    weights = _weights(model.n, _advance_width(starts, ends))
-    suffixes = [_SuffixTable(model, to, index, weights) for to in ends]
-    tables = [[suffix[tuple(frm)] for suffix in suffixes] for frm in starts]
-    return _grow(tables, 0, 0, 0, 0, [False] * N, [None] * (N - 1), [None] * N)
+    return _grow(_lgv_tables(model, starts, ends))
 
 
-def _grow(tables, i, occupied, key, inversions, used, chosen, sigma):
-    """Complete chosen[:i] (whose vertices are the mask occupied and whose
-    weights sum to key) in every way; start i to end j adds the inversions
-    j makes with the ends used, i - (used ends before j).
+def _grow(tables):
+    """Yields (chosen, sigma, occupied, last) once per choice of the first
+    N-1 paths: chosen[i] is a record from start i to end sigma[i], and
+    occupied is the mask of chosen.  The one end left goes to the last
+    start, and the group's families complete chosen with each record of
+    last, that start's table to that end, whose mask misses occupied.
 
-    Yields (chosen, sigma, occupied, key, inversions, last) once per choice
-    of the first N-1 paths: the one end left goes to the last start, and
-    the group's families complete chosen with each record of last, that
-    start's table to that end, whose mask misses occupied."""
+    One frame walks the starts in order over a stack holding, for each
+    start, its choices left: (end, record) over the free ends in order and
+    each end's records in table order.  So the groups come in the order of
+    their families, and each is yielded once."""
     final = len(tables) - 1
-    below = 0
-    for j, table in enumerate(tables[i]):
-        if used[j]:
-            below += 1
-            continue
-        more = inversions + i - below
-        sigma[i] = j
-        if i == final:  # N = 1; otherwise the start before yields the groups
-            yield chosen, sigma, occupied, key, more, table
-            continue
-        used[j] = True
-        if i + 1 < final:
-            for r in table:
-                if not r[0] & occupied:
-                    chosen[i] = r
-                    yield from _grow(tables, i + 1, occupied | r[0], key + r[1], more, used, chosen, sigma)
+    chosen, sigma, masks = [None] * final, [0] * (final + 1), [0] * (final + 1)
+    stack = []
+    while True:
+        i = len(stack)
+        if i < final:
+            taken, occupied = sigma[:i], masks[i]
+            row = enumerate(tables[i])
+            stack.append(iter([(j, r) for j, table in row if j not in taken for r in table if not r[0] & occupied]))
         else:
-            # the last start takes the one end left, k, and every end after
-            # k is used
-            k = sigma[final] = used.index(False)
-            most = more + final - k
-            last = tables[final][k]
-            for r in table:
-                if not r[0] & occupied:
-                    chosen[i] = r
-                    yield chosen, sigma, occupied | r[0], key + r[1], most, last
-        used[j] = False
+            # the ends 0..final add up to final * (final + 1) / 2
+            k = sigma[final] = final * (final + 1) // 2 - sum(sigma[:final])
+            yield chosen, sigma, masks[final], tables[final][k]
+        while stack and (choice := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        i = len(stack) - 1
+        sigma[i], chosen[i] = choice
+        masks[i + 1] = masks[i] | choice[1][0]
 
 
 def _check_lengths(starts, ends):
@@ -729,7 +742,7 @@ def enumerate_lgv_families(model, starts, ends):
         yield PathFamily(model, ())
         return
     last_start = starts[-1]
-    for chosen, sigma, occupied, _, _, last in _lgv_walk(model, starts, ends):
+    for chosen, sigma, occupied, last in _lgv_walk(model, starts, ends):
         head = [Path(frm, _steps(r)) for frm, r in zip(starts, chosen)]
         for r in last:
             if not r[0] & occupied:
@@ -737,18 +750,43 @@ def enumerate_lgv_families(model, starts, ends):
 
 
 def lgv_signed_sum(model, starts, ends):
-    """Brute-force signed sum over weakly non-intersecting families."""
+    """Signed sum over weakly non-intersecting families, by a transfer over
+    the starts in order.
+
+    After start i the state is (the ends taken so far, their paths' vertex
+    mask cut to reach[i + 1]), reach[i + 1] being the vertices of every
+    record of the starts after i: no later path can meet a vertex outside
+    it, so families in one state complete in the same ways.  Each state
+    holds {packed weight key: signed count} of its partial families.  Start
+    i takes a free end j by a record whose mask misses the state's, and the
+    sign flips when an odd number of taken ends lie after j, the
+    inversions j makes with them.  N = 0 leaves the empty family, of
+    weight 1."""
     _check_lengths(starts, ends)
-    if not starts:
-        return LaurentPoly.monomial((0,) * model.n)  # the empty family
-    keys = {}
-    get = keys.get
-    for _, _, occupied, key, inversions, last in _lgv_walk(model, starts, ends):
-        sign = -1 if inversions & 1 else 1
-        for r in last:
-            if not r[0] & occupied:
-                k = key + r[1]
-                keys[k] = get(k, 0) + sign
+    tables = _lgv_tables(model, starts, ends)
+    reach = [0]  # the vertices of every record of the last 0, 1, ... starts
+    for row in reversed(tables[1:]):
+        reach.append(reduce(or_, (r[0] for table in row for r in table), reach[-1]))
+    states = {(0, 0): {0: 1}}
+    for row, ahead in zip(tables, reversed(reach)):
+        after = defaultdict(dict)
+        for (taken, occupied), sums in states.items():
+            for j, table in enumerate(row):
+                if taken >> j & 1:
+                    continue
+                terms = sums.items()
+                if (taken >> j).bit_count() & 1:
+                    terms = [(k, -c) for k, c in terms]
+                for mask, key, _, _ in table:
+                    if mask & occupied:
+                        continue
+                    acc = after[taken | 1 << j, (occupied | mask) & ahead]
+                    get = acc.get
+                    for k, c in terms:
+                        k += key
+                        acc[k] = get(k, 0) + c
+        states = after
+    keys = next(iter(states.values()), {})
     return LaurentPoly(model.n, _unpack(keys, model.n, _advance_width(starts, ends)))
 
 
